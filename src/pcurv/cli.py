@@ -12,7 +12,8 @@ a module block, a p-structure shift, and an expectation marker.  Commands:
     identities  the seeded identity battery over a tangent algebroid
 
 Exit status: 0 all checks passed (or an expected failure occurred),
-1 a mathematical check failed, 2 the input was unusable.
+1 a mathematical check failed, 2 the input was unusable or exceeded the
+degree bound.
 
 The structured (json) report format contains no timing information and is
 byte-identical across runs for the same scenario and seed; the text format
@@ -49,7 +50,14 @@ from .connection import (
 )
 from .hitchin import descend_invariants, hitchin_invariants, validate_trace_flatness
 from .panels import poly_panel
-from .poly import NotDescendable, PolyParseError, PolyRing, PrimeField, parse_poly
+from .poly import (
+    NotDescendable,
+    PolyParseError,
+    PolyRing,
+    PrimeField,
+    ResourceLimitError,
+    parse_poly,
+)
 from .report import CheckResult, ValidationReport
 
 SCHEMA_VERSION = 1
@@ -156,6 +164,8 @@ def _parse_entry(src, ring: PolyRing, where: str):
         return parse_poly(src, ring)
     except PolyParseError as err:
         raise ScenarioError(f"{where}: {err}") from err
+    except ResourceLimitError as err:
+        raise ResourceLimitError(f"{where}: {err}") from err
 
 
 def _parse_table(rows, ring, rank, where):
@@ -566,6 +576,9 @@ def main(argv=None) -> int:
             )
         except ScenarioError as err:
             print(f"error: {err}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+        except ResourceLimitError as err:
+            print(f"resource limit in {path}: {err}", file=sys.stderr)
             return EXIT_INPUT_ERROR
         except ValueError as err:
             print(f"mathematical failure in {path}: {err}", file=sys.stderr)

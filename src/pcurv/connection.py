@@ -5,27 +5,46 @@ polynomial matrix per algebroid generator:
 
     nabla_{e_a}(s) = delta_a(s) + A_a . s
 
-with the anchor derivation applied entrywise.  The induced action of an
-arbitrary enveloping-algebra element is a matrix whose entries are
-crystalline differential operators over the same ring (a Weyl-type
-algebra); :class:`MatrixDiffOp` realizes those endomorphism-valued
-operators with exact normal-form entries.
-
-The coefficient action of the Weyl algebra on polynomials has a kernel:
-any monomial containing a p-th power of a coordinate derivation acts as
-zero (the p-th coefficient-wise derivative vanishes identically), and
-monomials with all exponents below p act faithfully.  Reducing modulo that
-kernel (:meth:`MatrixDiffOp.reduce_action`) therefore gives a normal form
-for the endomorphism an operator induces, and the p-curvature's order-0
-property becomes a syntactic assertion on it.
+with the anchor derivation applied entrywise.
 
 The p-curvature of a flat module is
 
     psi_a = (nabla_{e_a})^p - nabla_{e_a^[p]}
 
-one pure matrix per generator; the validators check that the psi_a are
-O_X-linear, p-linear in the generator direction, pairwise commuting, and
-commute with the module action.
+one pure matrix per generator.  It is O_X-linear, so it is fixed by its
+values on the constant sections (Katz, *Nilpotent connections and the
+monodromy theorem*, 1970): nabla_{e_a}^k sends the j-th unit section to
+the j-th column of X_k, where
+
+    X_1 = A_a,    X_{k+1} = delta_a(X_k) + A_a . X_k
+
+and, writing e_a^[p] = f + sum_k h_k e_k,
+
+    psi_a = X_p - (f I + sum_k h_k A_k).
+
+That psi_a has no differential part is checked on derivations alone.  By
+Jacobson's formula (delta_a I + A_a)^p - delta_a^p I - A_a^p is a sum of
+Lie polynomials in delta_a I and A_a; every bracket of those two is a
+plain matrix, so the only part of order > 0 left in psi_a is the scalar
+derivation (delta_a^p - anchor(h)) I.  It vanishes exactly when the
+p-operation is compatible with the anchor.
+
+The independent route is the Weyl-algebra one.  The action of an arbitrary
+enveloping-algebra element is a matrix whose entries are crystalline
+differential operators over the same ring (a Weyl-type algebra);
+:class:`MatrixDiffOp` realizes those endomorphism-valued operators with
+exact normal-form entries.  The coefficient action of the Weyl algebra on
+polynomials has a kernel: any monomial containing a p-th power of a
+coordinate derivation acts as zero (the p-th coefficient-wise derivative
+vanishes identically), and monomials with all exponents below p act
+faithfully.  Reducing modulo that kernel
+(:meth:`MatrixDiffOp.reduce_action`) gives a normal form for the
+endomorphism an operator induces.  :func:`check_abstract_action_oracle`
+represents the central element e_a^p - e_a^[p] that way and compares.
+
+The validators check that the psi_a agree with that oracle, are p-linear
+in the generator direction, pairwise commuting, and commute with the
+module action.
 """
 
 from __future__ import annotations
@@ -301,22 +320,18 @@ def nabla_of(M: ConnectionModule, f: Poly, coeffs) -> MatrixDiffOp:
     return out
 
 
-def represent_lambda1(M: ConnectionModule, op: ops.OperatorElement) -> MatrixDiffOp:
-    f, coeffs = op.lambda1_parts()
-    return nabla_of(M, f, coeffs)
-
-
 def represent_operator(M: ConnectionModule, op: ops.OperatorElement) -> MatrixDiffOp:
     """The action of an arbitrary enveloping-algebra element, sending each
-    normal-form word to the corresponding product of generator actions."""
+    normal-form word e^beta to the product of the generator-action powers
+    (nabla_{e_a})^{beta_a}."""
     weyl = M.weyl()
     actions = [M.generator_action(a) for a in range(M.algebroid.rank)]
     out = MatrixDiffOp(weyl, [[ops.zero(weyl)] * M.rank for _ in range(M.rank)])
     for beta, f in op.terms.items():
         word = MatrixDiffOp.identity(weyl, M.rank)
         for a, k in enumerate(beta):
-            for _ in range(k):
-                word = word * actions[a]
+            if k:
+                word = word * actions[a] ** k
         out = out + word.scale(f)
     return out
 
@@ -355,35 +370,64 @@ class PCurvature:
         return self.module.ring
 
 
+def _constant_action(M: ConnectionModule, f: Poly, coeffs):
+    """f I + sum_k g_k A_k: the action of f + sum_k g_k e_k on the unit
+    sections, which every anchor derivation kills."""
+    out = mat_scale(f, identity_matrix(M.ring, M.rank))
+    for g, matrix in zip(coeffs, M.matrices):
+        if not g.is_zero():
+            out = mat_add(out, mat_scale(g, matrix))
+    return out
+
+
+def _katz_psi(M: ConnectionModule, coeffs, target: ops.OperatorElement):
+    """psi(D) = (nabla_D)^p - nabla_{D^[p]} for D = sum_k g_k e_k, where
+    ``target`` is D^[p] = f + sum_k h_k e_k.
+
+    Returns the matrix X_p - (f I + sum_k h_k A_k) of the recurrence
+    X_1 = B, X_{k+1} = delta_D(X_k) + B . X_k with B = sum_k g_k A_k, and
+    the derivation delta_D^p - anchor(h), the differential part of psi(D)
+    (zero exactly when psi(D) is O_X-linear)."""
+    A = M.algebroid
+    f, h = target.lambda1_parts()
+    delta = A.anchor_of(coeffs)
+    B = _constant_action(M, M.ring.zero(), coeffs)
+    X = B
+    for _ in range(A.p - 1):
+        X = mat_add(mat_derive(delta, X), mat_mul(B, X))
+    residue = delta.pth_power() + A.anchor_of(h).scale(M.ring.constant(-1))
+    return mat_sub(X, _constant_action(M, f, h)), residue
+
+
 def p_curvature(M: ConnectionModule, structure=None, allow_nonflat=False) -> PCurvature:
     """Compute the p-curvature of a flat module.
 
-    The matrix power (nabla_{e_a})^p is formed exactly in the Weyl-type
-    algebra, the action of e_a^[p] is subtracted, and the difference is
-    reduced modulo the kernel of the coefficient action.  A nonzero
-    higher-order remainder signals a broken p-operation or a non-flat
-    input and raises.
+    psi_a is O_X-linear, so it is computed on the unit sections by Katz's
+    recurrence X_1 = A_a, X_{k+1} = delta_a(X_k) + A_a . X_k, as
+    psi_a = X_p - (f I + sum_k h_k A_k) with e_a^[p] = f + sum_k h_k e_k
+    (the shifted value when ``structure`` is a :class:`PStructureShift`).
+    By Jacobson's formula the only possible differential part of
+    (nabla_{e_a})^p - nabla_{e_a^[p]} is the scalar derivation
+    delta_a^p - anchor(h); a nonzero one signals a p-operation that is
+    incompatible with the anchor and raises.
     """
     if structure is None:
         structure = M.algebroid
     A = M.algebroid
     if not allow_nonflat and not validate_flatness(M).passed:
         raise ValueError("module is not flat (pass allow_nonflat=True to override)")
-    p = A.p
     psi = []
     for a in range(A.rank):
-        power = M.generator_action(a) ** p
         if isinstance(structure, PStructureShift):
-            target = represent_lambda1(M, structure.shifted_p_op(a))
+            target = structure.shifted_p_op(a)
         else:
-            target = nabla_of(M, M.ring.zero(), A.p_op[a])
-        difference = (power - target).reduce_action()
-        if difference.order() > 0:
+            target = ops.from_h_element(A, A.p_op[a])
+        matrix, residue = _katz_psi(M, A.h_basis(a), target)
+        if not residue.is_zero():
             raise ValueError(
-                f"p-curvature of e{a + 1} has a differential part of order "
-                f"{difference.order()}: {difference}"
+                f"p-curvature of e{a + 1} has a differential part of order 1: {residue}"
             )
-        psi.append(difference.as_matrix())
+        psi.append(matrix)
     return PCurvature(M, structure, tuple(psi))
 
 
@@ -409,8 +453,9 @@ def check_abstract_action_oracle(C: PCurvature) -> ValidationReport:
 
 
 def check_p_linearity(C: PCurvature, panel) -> ValidationReport:
-    """psi(f * e_a), computed from scratch through the twisted scaling rule,
-    must equal f^p * psi_a."""
+    """psi(f * e_a), computed from scratch by the same recurrence in the
+    direction f * delta_a with matrix f * A_a, against the twisted scaling
+    rule for (f e_a)^[p], must equal f^p * psi_a."""
     rep = ValidationReport("p-linearity of the p-curvature")
     M, A = C.module, C.algebroid
     p = A.p
@@ -418,16 +463,11 @@ def check_p_linearity(C: PCurvature, panel) -> ValidationReport:
     for f in panel:
         for a in range(A.rank):
             coeffs = A.h_scale(f, A.h_basis(a))
-            direction = ops.from_h_element(A, coeffs)
-            power = nabla_of(M, M.ring.zero(), coeffs) ** p
-            target = represent_lambda1(
-                M, ops.p_operation_lambda1(C.structure, direction)
-            )
-            difference = (power - target).reduce_action()
-            if difference.order() > 0:
+            target = ops.p_operation_lambda1(C.structure, ops.from_h_element(A, coeffs))
+            matrix, residue = _katz_psi(M, coeffs, target)
+            if not residue.is_zero():
                 bad.append(f"f={f}, e{a + 1}: positive order")
-                continue
-            if difference.as_matrix() != mat_scale(f**p, C.psi[a]):
+            elif matrix != mat_scale(f**p, C.psi[a]):
                 bad.append(f"f={f}, e{a + 1}")
     rep.add("p_linearity", not bad, witness="; ".join(bad[:2]) or None, panel=len(panel))
     return rep

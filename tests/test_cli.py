@@ -15,6 +15,7 @@ from pcurv.cli import (
     main,
     run_scenario,
 )
+from pcurv.poly import ResourceLimitError
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -207,6 +208,23 @@ class TestMainEntry:
         assert main(["descend", str(SCENARIOS / "crystalline_1d.json"), "--format", "json"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is True
+
+    def test_oversized_entry_is_one_line_input_error(self, tmp_path, capsys):
+        doc = minimal_doc()
+        doc["module"]["matrices"] = [[["x^2000000"]]]
+        with pytest.raises(ResourceLimitError, match=r"module\.matrices\[0\]\[0\]"):
+            load_scenario(write_scenario(tmp_path, doc))
+        assert main(["pcurvature", write_scenario(tmp_path, doc)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "module.matrices[0][0]" in err
+
+    def test_resource_limit_in_pipeline_names_scenario(self, tmp_path, capsys):
+        doc = minimal_doc()
+        doc["module"]["matrices"] = [[["x^400000"]]]  # loads; psi has degree 1.2e6
+        path = write_scenario(tmp_path, doc, name="deep.json")
+        assert main(["pcurvature", path]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and path in err and "resource limit" in err
 
     def test_subprocess_smoke(self):
         result = subprocess.run(

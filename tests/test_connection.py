@@ -1,6 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcurv import operators as ops
 from pcurv.algebroid import higgs_algebroid, rees_algebroid, shift_p_structure, tangent_algebroid
@@ -11,8 +14,12 @@ from pcurv.connection import (
     check_flat_commutation,
     check_higgs_commutativity,
     check_p_linearity,
+    identity_matrix,
+    mat_add,
     mat_is_zero,
+    mat_mul,
     mat_pow,
+    mat_scale,
     nabla_of,
     p_curvature,
     represent_operator,
@@ -219,6 +226,69 @@ class TestPCurvatureProperties:
         )
         C = p_curvature(ConnectionModule(H, 2, commuting))
         assert check_flat_commutation(C).passed
+
+
+def rank2_line(p):
+    R = ring(p)
+    x = R.variable("x")
+    A1 = ((x * x, R.one()), (x, R.constant(2) * x + R.one()))
+    return ConnectionModule(tangent_algebroid(R), 2, (A1,))
+
+
+class TestChecksCatchWrongPCurvature:
+    """psi_a + I in place of psi_a must fail both independent checks."""
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("build", [rank2_line, flat_2d_rank2])
+    def test_shifted_psi_fails_oracle_and_p_linearity(self, p, build):
+        M = build(p)
+        C = p_curvature(M)
+        assert check_abstract_action_oracle(C).passed
+        panel = poly_panel(M.ring, 2, seed=5, max_degree=1)
+        assert check_p_linearity(C, panel).passed
+        one = identity_matrix(M.ring, M.rank)
+        wrong = replace(C, psi=tuple(mat_add(m, one) for m in C.psi))
+        assert not check_abstract_action_oracle(wrong).passed
+        assert not check_p_linearity(wrong, panel).passed
+
+
+@st.composite
+def line_modules(draw):
+    """A random connection of rank <= 3 on the affine line (always flat)."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    r = draw(st.integers(1, 3))
+    R = ring(p)
+    coeffs = st.lists(st.integers(0, p - 1), min_size=3, max_size=3)
+    entries = [
+        sum((R.monomial((e,), c) for e, c in enumerate(draw(coeffs))), R.zero())
+        for _ in range(r * r)
+    ]
+    matrix = tuple(tuple(entries[i * r : (i + 1) * r]) for i in range(r))
+    return ConnectionModule(tangent_algebroid(R), r, (matrix,))
+
+
+@st.composite
+def commuting_constant_pairs(draw):
+    """(B, B^2 + c I) with B a constant 2x2 matrix: a flat module in 2d."""
+    p = draw(st.sampled_from([3, 5]))
+    R = ring(p, ("x", "y"))
+    values = draw(st.lists(st.integers(0, p - 1), min_size=5, max_size=5))
+    B = tuple(tuple(R.constant(values[2 * i + j]) for j in range(2)) for i in range(2))
+    c_identity = mat_scale(R.constant(values[4]), identity_matrix(R, 2))
+    return ConnectionModule(tangent_algebroid(R), 2, (B, mat_add(mat_mul(B, B), c_identity)))
+
+
+class TestKatzAgainstOracle:
+    @settings(max_examples=50, deadline=None)
+    @given(line_modules())
+    def test_line_modules(self, M):
+        assert check_abstract_action_oracle(p_curvature(M)).passed
+
+    @settings(max_examples=20, deadline=None)
+    @given(commuting_constant_pairs())
+    def test_commuting_constant_pairs(self, M):
+        assert validate_flatness(M).passed
+        assert check_abstract_action_oracle(p_curvature(M)).passed
 
 
 class TestRepresentOperator:
