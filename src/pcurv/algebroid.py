@@ -101,9 +101,6 @@ class AlgebroidPresentation:
     def h_add(self, D, E):
         return tuple(d + e for d, e in zip(D, E))
 
-    def h_sub(self, D, E):
-        return tuple(d - e for d, e in zip(D, E))
-
     def h_scale(self, f: Poly, D):
         return tuple(f * d for d in D)
 
@@ -146,9 +143,25 @@ class AlgebroidPresentation:
             E = self.h_bracket(D, E)
         return E
 
-    def h_lie_polynomials(self, x, y):
+    def lambda1_bracket(self, x, y):
+        """Commutator of two degree-one elements f + D, g + E given as
+        (function, H-vector) pairs:
+
+            [f + D, g + E] = (delta_D(g) - delta_E(f)) + [D, E].
+        """
+        (f, D), (g, E) = x, y
+        function = self.ring.zero()
+        if not g.is_zero():
+            function = self.anchor_of(D)(g)
+        if not f.is_zero():
+            function = function - self.anchor_of(E)(f)
+        return function, self.h_bracket(D, E)
+
+    def lie_polynomials(self, x, y):
         """The universal Lie polynomials s_1, ..., s_{p-1} of Jacobson's
-        formula, computed inside H (which is closed under the bracket).
+        formula (x + y)^p = x^p + y^p + sum_i s_i(x, y), for degree-one
+        elements given as (function, H-vector) pairs; the s_i are again
+        such pairs, and elements of H (function 0) give elements of H.
 
         They are read off from the expansion
         ad(tau*x + y)^(p-1)(x) = sum_i i*s_i(x, y)*tau^(i-1)
@@ -156,21 +169,28 @@ class AlgebroidPresentation:
         """
         p = self.p
         tau_name = _fresh_name(self.ring, "tau")
-        big_ring = self.ring.extended(tau_name)
-        big = self.map_to(big_ring)
-        tau = big_ring.variable(tau_name)
-        x_big = tuple(c.map_to(big_ring) for c in x)
-        y_big = tuple(c.map_to(big_ring) for c in y)
-        z = big.h_add(big.h_scale(tau, x_big), y_big)
-        w = big.h_ad_iter(z, x_big, p - 1)
+        big = self.map_to(self.ring.extended(tau_name))
+        tau = big.ring.variable(tau_name)
+
+        def lift(pair):
+            f, D = pair
+            return f.map_to(big.ring), tuple(c.map_to(big.ring) for c in D)
+
+        x_big, y_big = lift(x), lift(y)
+        z = (tau * x_big[0] + y_big[0], big.h_add(big.h_scale(tau, x_big[1]), y_big[1]))
+        w = x_big
+        for _ in range(p - 1):
+            w = big.lambda1_bracket(z, w)
+        zero = self.ring.zero()
+        function_parts = w[0].split_variable(tau_name)
+        vector_parts = [c.split_variable(tau_name) for c in w[1]]
         out = []
         for i in range(1, p):
             inv_i = self.ring.field.inv(i)
-            comps = []
-            for c in w:
-                parts = c.split_variable(tau_name)
-                comps.append(parts.get(i - 1, self.ring.zero()) * inv_i)
-            out.append(tuple(comps))
+            out.append((
+                function_parts.get(i - 1, zero) * inv_i,
+                tuple(parts.get(i - 1, zero) * inv_i for parts in vector_parts),
+            ))
         return out
 
     def p_operation(self, D):
@@ -184,6 +204,7 @@ class AlgebroidPresentation:
         terms = [(a, g) for a, g in enumerate(D) if not g.is_zero()]
         if not terms:
             return self.h_zero()
+        zero = self.ring.zero()
         result = None
         partial = None
         for a, g in terms:
@@ -197,7 +218,7 @@ class AlgebroidPresentation:
                 result, partial = single, term
                 continue
             result = self.h_add(result, single)
-            for s in self.h_lie_polynomials(partial, term):
+            for _, s in self.lie_polynomials((zero, partial), (zero, term)):
                 result = self.h_add(result, s)
             partial = self.h_add(partial, term)
         return result
@@ -312,7 +333,7 @@ def validate_p_structure(A: AlgebroidPresentation, *, trials=10, seed=0, max_deg
         d2 = random_vector(rng, A.ring, m, max_degree)
         lhs = A.p_operation(A.h_add(d1, d2))
         rhs = A.h_add(A.p_operation(d1), A.p_operation(d2))
-        for s in A.h_lie_polynomials(d1, d2):
+        for _, s in A.lie_polynomials((A.ring.zero(), d1), (A.ring.zero(), d2)):
             rhs = A.h_add(rhs, s)
         if lhs != rhs:
             bad.append(f"D1=({', '.join(map(str, d1))}), D2=({', '.join(map(str, d2))})")
@@ -414,9 +435,7 @@ def specialize_t(A: AlgebroidPresentation, value: int) -> AlgebroidPresentation:
     if name is None:
         raise ValueError("no deformation variable to specialize")
     j = A.ring.variables.index(name)
-    small = PolyRing(
-        A.ring.field, A.ring.variables[:j] + A.ring.variables[j + 1 :], None
-    )
+    small = A.ring.without(name)
     bracket = tuple(
         tuple(tuple(c.substitute_constant(name, value) for c in vec) for vec in table)
         for table in A.bracket

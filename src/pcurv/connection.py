@@ -65,10 +65,6 @@ def identity_matrix(ring: PolyRing, r: int):
     )
 
 
-def zero_matrix(ring: PolyRing, r: int):
-    return tuple(tuple(ring.zero() for _ in range(r)) for _ in range(r))
-
-
 def mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -399,7 +395,7 @@ def _katz_psi(M: ConnectionModule, coeffs, target: ops.OperatorElement):
     return mat_sub(X, _constant_action(M, f, h)), residue
 
 
-def p_curvature(M: ConnectionModule, structure=None, allow_nonflat=False) -> PCurvature:
+def p_curvature(M: ConnectionModule, structure=None) -> PCurvature:
     """Compute the p-curvature of a flat module.
 
     psi_a is O_X-linear, so it is computed on the unit sections by Katz's
@@ -414,8 +410,8 @@ def p_curvature(M: ConnectionModule, structure=None, allow_nonflat=False) -> PCu
     if structure is None:
         structure = M.algebroid
     A = M.algebroid
-    if not allow_nonflat and not validate_flatness(M).passed:
-        raise ValueError("module is not flat (pass allow_nonflat=True to override)")
+    if not validate_flatness(M).passed:
+        raise ValueError("module is not flat")
     psi = []
     for a in range(A.rank):
         if isinstance(structure, PStructureShift):

@@ -36,22 +36,6 @@ from .poly import Derivation, NotDescendable, Poly, PolyRing, det
 from .report import ValidationReport
 
 
-def _group_by_variables(f: Poly, names) -> dict:
-    """Split off the named variables: a map from their exponent tuples to
-    coefficients over the ring without them."""
-    ring = f.ring
-    idxs = [ring.variables.index(n) for n in names]
-    keep = [i for i in range(ring.nvars) if i not in idxs]
-    rees = ring.rees_variable if ring.rees_variable not in names else None
-    small = PolyRing(ring.field, tuple(ring.variables[i] for i in keep), rees)
-    grouped: dict = {}
-    for e, c in f.terms.items():
-        key = tuple(e[i] for i in idxs)
-        rest = tuple(e[i] for i in keep)
-        grouped.setdefault(key, {})[rest] = c
-    return {key: Poly(small, terms) for key, terms in grouped.items()}
-
-
 @dataclass(frozen=True)
 class CharPoly:
     """det(lam*I - sum_a y_a psi_a), expanded over the ring extended by the
@@ -149,21 +133,12 @@ def hitchin_invariants(C: PCurvature) -> HitchinInvariants:
     cp = characteristic_polynomial(C)
     r = C.module.rank
     m = C.algebroid.rank
-    by_lam = cp.value.split_variable(cp.lam)
-    coefficients = []
-    for k in range(1, r + 1):
-        part = by_lam.get(r - k)
-        table = {}
-        if part is not None:
-            if k % 2 == 1:
-                part = -part
-            table = {
-                yexp: coeff
-                for yexp, coeff in _group_by_variables(part, cp.duals).items()
-                if not coeff.is_zero()
-            }
-        coefficients.append(table)
-    return HitchinInvariants(r, m, C.ring, tuple(coefficients))
+    coefficients = tuple({} for _ in range(r))
+    for (lam_exp, *yexp), coeff in cp.value.split_variables(cp.lam, *cp.duals).items():
+        k = r - lam_exp
+        if k > 0:
+            coefficients[k - 1][tuple(yexp)] = -coeff if k % 2 == 1 else coeff
+    return HitchinInvariants(r, m, C.ring, coefficients)
 
 
 # -- canonical connection and Cartier descent --------------------------------

@@ -21,7 +21,7 @@ elements f + sum g_a e_a are the ones a p-structure acts on.
 
 from __future__ import annotations
 
-from .algebroid import AlgebroidPresentation, PStructureShift, _fresh_name
+from .algebroid import AlgebroidPresentation, PStructureShift
 from .poly import Poly, ResourceLimitError
 from .report import ValidationReport
 
@@ -303,13 +303,6 @@ def from_lambda1(A: AlgebroidPresentation, f: Poly, coeffs) -> OperatorElement:
     return from_poly(A, f) + from_h_element(A, coeffs)
 
 
-def map_to(op: OperatorElement, big: AlgebroidPresentation) -> OperatorElement:
-    terms = {}
-    for beta, f in op.terms.items():
-        terms[beta] = f.map_to(big.ring)
-    return OperatorElement(big, terms)
-
-
 # -- rewriting core ---------------------------------------------------------------
 
 
@@ -398,35 +391,17 @@ def p_curvature_element(structure, op: OperatorElement, check_central=True) -> O
 def lie_polynomials(x: OperatorElement, y: OperatorElement):
     """The universal Lie polynomials s_1, ..., s_{p-1} of Jacobson's formula
 
-        (x + y)^p = x^p + y^p + sum_i s_i(x, y),
+        (x + y)^p = x^p + y^p + sum_i s_i(x, y)
 
-    read off from the expansion of ad(tau*x + y)^(p-1)(x) over the algebra
-    extended by a fresh central variable tau.  Inputs must have filtration
-    degree at most 1; the outputs then do too.
+    for inputs of filtration degree at most 1, computed on their
+    (function, H-vector) parts by
+    :meth:`~pcurv.algebroid.AlgebroidPresentation.lie_polynomials`.
     """
     if x.algebroid != y.algebroid:
         raise ValueError("operators over different algebroids")
     A = x.algebroid
-    if x.degree() > 1 or y.degree() > 1:
-        raise ValueError("inputs must have filtration degree at most 1")
-    p = A.p
-    tau_name = _fresh_name(A.ring, "tau")
-    big = A.map_to(A.ring.extended(tau_name))
-    tau = big.ring.variable(tau_name)
-    z = map_to(x, big).scale(tau) + map_to(y, big)
-    w = map_to(x, big)
-    for _ in range(p - 1):
-        w = z.commutator(w)
-    out = []
-    for i in range(1, p):
-        inv_i = A.ring.field.inv(i)
-        terms = {}
-        for beta, f in w.terms.items():
-            part = f.split_variable(tau_name).get(i - 1)
-            if part is not None and not part.is_zero():
-                terms[beta] = part * inv_i
-        out.append(OperatorElement(A, terms))
-    return out
+    pairs = A.lie_polynomials(x.lambda1_parts(), y.lambda1_parts())
+    return [from_lambda1(A, f, coeffs) for f, coeffs in pairs]
 
 
 # -- battery of enveloping-algebra identities -------------------------------------

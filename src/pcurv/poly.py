@@ -66,11 +66,17 @@ def _is_prime(n: int) -> bool:
 @dataclass(frozen=True)
 class PrimeField:
     """The prime field F_p.  Descent theorems require p > 2; p = 2 is
-    accepted for plain algebra but flagged with a warning."""
+    accepted for plain algebra but flagged with a warning.  A prime above
+    ``DEGREE_LIMIT`` raises :class:`ResourceLimitError`: no p-th power
+    could be formed over it."""
 
     p: int
 
     def __post_init__(self):
+        if self.p > DEGREE_LIMIT:
+            raise ResourceLimitError(
+                f"p = {self.p} exceeds the degree bound {DEGREE_LIMIT}: x^p cannot be formed"
+            )
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         if self.p == 2:
@@ -159,17 +165,22 @@ class PolyRing:
             return Poly(self, {})
         return Poly(self, {exponents: c})
 
-    def parse(self, src: str) -> "Poly":
-        return parse_poly(src, self)
-
-    def extended(self, *new_names: str, position: str = "append") -> "PolyRing":
+    def extended(self, *new_names: str) -> "PolyRing":
         """A ring with additional variables (appended after the existing ones)."""
         for name in new_names:
             if name in self.variables:
                 raise ValueError(f"variable {name!r} already present")
-        if position != "append":
-            raise ValueError("only appending is supported")
         return PolyRing(self.field, self.variables + tuple(new_names), self.rees_variable)
+
+    def without(self, *names: str) -> "PolyRing":
+        """The ring with the named variables removed; the deformation flag
+        goes with its variable."""
+        for name in names:
+            if name not in self.variables:
+                raise ValueError(f"variable {name!r} is not a ring variable")
+        keep = tuple(v for v in self.variables if v not in names)
+        rees = self.rees_variable if self.rees_variable in keep else None
+        return PolyRing(self.field, keep, rees)
 
 
 class Poly:
@@ -186,27 +197,11 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exp) for exp in self.terms)
-
-    def constant_value(self) -> int:
-        """The value of a constant polynomial as an integer in {0, ..., p-1}."""
-        if self.is_zero():
-            return 0
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
-
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
         return max(sum(exp) for exp in self.terms)
-
-    def degree_in(self, j: int) -> int:
-        if not self.terms:
-            return -1
-        return max(exp[j] for exp in self.terms)
 
     def __bool__(self):
         return bool(self.terms)
@@ -366,36 +361,29 @@ class Poly:
             out[tuple(e2)] = c
         return Poly(ring, out)
 
-    def split_variable(self, name: str) -> dict:
-        """Decompose as a polynomial in one variable: a map from the exponent
-        of ``name`` to coefficients over the ring with ``name`` removed."""
-        j = self.ring.variables.index(name)
-        small = PolyRing(
-            self.ring.field,
-            self.ring.variables[:j] + self.ring.variables[j + 1 :],
-            None if self.ring.rees_variable == name else self.ring.rees_variable,
-        )
+    def split_variables(self, *names: str) -> dict:
+        """Decompose as a polynomial in the named variables: a map from
+        their exponent tuples to coefficients over the ring without them."""
+        small = self.ring.without(*names)
+        idxs = [self.ring.variables.index(n) for n in names]
+        keep = [j for j in range(self.ring.nvars) if j not in idxs]
         parts: dict = {}
         for e, c in self.terms.items():
-            k = e[j]
-            rest = e[:j] + e[j + 1 :]
-            parts.setdefault(k, {})[rest] = c
-        return {k: Poly(small, terms) for k, terms in parts.items()}
+            key = tuple(e[j] for j in idxs)
+            parts.setdefault(key, {})[tuple(e[j] for j in keep)] = c
+        return {key: Poly(small, terms) for key, terms in parts.items()}
+
+    def split_variable(self, name: str) -> dict:
+        """:meth:`split_variables` for one variable, keyed by its exponent."""
+        return {k: c for (k,), c in self.split_variables(name).items()}
 
     def substitute_constant(self, name: str, value: int) -> "Poly":
         """Substitute a field constant for one variable and drop it from the
         ring."""
-        value %= self.ring.p
-        parts = self.split_variable(name)
-        j = self.ring.variables.index(name)
-        small = PolyRing(
-            self.ring.field,
-            self.ring.variables[:j] + self.ring.variables[j + 1 :],
-            None if self.ring.rees_variable == name else self.ring.rees_variable,
-        )
-        out = small.zero()
-        for k, coeff in parts.items():
-            out = out + coeff * pow(value, k, self.ring.p)
+        p = self.ring.p
+        out = self.ring.without(name).zero()
+        for (k,), coeff in self.split_variables(name).items():
+            out = out + coeff * pow(value, k, p)
         return out
 
     # -- rendering -------------------------------------------------------

@@ -37,18 +37,12 @@ class ValidationReport:
             CheckResult(name, bool(passed), section=section, witness=witness, details=details)
         )
 
-    def extend(self, other: "ValidationReport"):
-        self.checks.extend(other.checks)
-
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def failures(self):
         return [c for c in self.checks if not c.passed]
-
-    def section(self, name: str):
-        return [c for c in self.checks if c.section == name]
 
     def to_dict(self) -> dict:
         return {

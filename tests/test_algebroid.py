@@ -127,7 +127,9 @@ class TestPOperationExtension:
             d2 = random_vector(rng, A.ring, 2, 2)
             lhs = A.p_operation(A.h_add(d1, d2))
             rhs = A.h_add(A.p_operation(d1), A.p_operation(d2))
-            for s in A.h_lie_polynomials(d1, d2):
+            zero = A.ring.zero()
+            for f, s in A.lie_polynomials((zero, d1), (zero, d2)):
+                assert f.is_zero()
                 rhs = A.h_add(rhs, s)
             assert lhs == rhs
 

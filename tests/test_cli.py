@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -71,6 +72,23 @@ class TestLoading:
     def test_wrong_schema_version(self, tmp_path):
         with pytest.raises(ScenarioError, match="schema_version"):
             load_scenario(write_scenario(tmp_path, minimal_doc(schema_version=2)))
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("bracket", lambda doc: doc["algebroid"].update(bracket=[[["0", "0"]]])),
+            ("anchor", lambda doc: doc["algebroid"].update(anchor=[["1"], ["0"]])),
+            ("p_op", lambda doc: doc["algebroid"].update(p_op=[[["0"]]])),
+            ("shift.phi", lambda doc: doc.update(shift={"phi": []})),
+            ("module.matrices", lambda doc: doc["module"].update(matrices=[[["x"], ["0"]]])),
+            ("module rank", lambda doc: doc["module"].update(rank=0, matrices=[[]])),
+        ],
+    )
+    def test_shape_error_names_field(self, tmp_path, field, edit):
+        doc = minimal_doc()
+        edit(doc)
+        with pytest.raises(ScenarioError, match=re.escape(field)):
+            load_scenario(write_scenario(tmp_path, doc))
 
     def test_dimension_mismatch(self, tmp_path):
         doc = minimal_doc()
@@ -183,12 +201,12 @@ class TestIdentitySuite:
         report = identity_suite(3, 1, seed=0, trials=8)
         assert report.passed
 
-    def test_p2_reduced_battery(self):
-        report = identity_suite(2, 1, seed=0, trials=8)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_p2_runs_the_full_battery(self, n):
+        report = identity_suite(2, n, seed=0, trials=8)
         assert report.passed
         names = [c.name for c in report.checks]
-        assert "warning_p2_reduced_battery" in names
-        assert "hochschild_identity" in names
+        assert names == [c.name for c in identity_suite(3, n, seed=0, trials=8).checks]
 
 
 class TestMainEntry:
@@ -225,6 +243,17 @@ class TestMainEntry:
         assert main(["pcurvature", path]) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and path in err and "resource limit" in err
+
+    def test_prime_over_degree_bound_is_rejected_at_once(self, tmp_path):
+        path = write_scenario(tmp_path, minimal_doc(p=1000000000000000009))
+        result = subprocess.run(
+            [sys.executable, "-m", "pcurv", "validate", path],
+            capture_output=True,
+            text=True,
+            timeout=15,
+        )
+        assert result.returncode == EXIT_INPUT_ERROR
+        assert result.stderr.count("\n") == 1 and "degree bound" in result.stderr
 
     def test_subprocess_smoke(self):
         result = subprocess.run(

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcurv.poly import (
     Derivation,
@@ -245,6 +247,17 @@ class TestFrobenius:
             assert g.frobenius().pth_root() == g
 
 
+@st.composite
+def split_cases(draw):
+    """A random polynomial over F_5[x, y, t] (t the deformation variable)
+    and one or two of its variables, in random order."""
+    R = ring(5, ("x", "y", "t"), rees="t")
+    exponents = st.tuples(*[st.integers(0, 4)] * R.nvars)
+    terms = draw(st.dictionaries(exponents, st.integers(1, 4), max_size=8))
+    names = draw(st.lists(st.sampled_from(R.variables), min_size=1, max_size=2, unique=True))
+    return Poly(R, terms), tuple(names)
+
+
 class TestSubstitution:
     def test_split_variable(self):
         R = ring(3, ("x", "t"))
@@ -261,6 +274,29 @@ class TestSubstitution:
         small = ring(3, ("x",))
         assert f.substitute_constant("t", 1) == parse_poly("x^2 + x + 2", small)
         assert f.substitute_constant("t", 0) == parse_poly("x", small)
+
+    def test_without_keeps_order_and_drops_flag_with_variable(self):
+        R = ring(3, ("x", "y", "t"), rees="t")
+        assert R.without("y") == ring(3, ("x", "t"), rees="t")
+        assert R.without("t", "x") == ring(3, ("y",))
+        with pytest.raises(ValueError):
+            R.without("z")
+
+    @settings(max_examples=100, deadline=None)
+    @given(split_cases(), st.integers(-6, 6))
+    def test_split_variables_recombine_and_agree_with_substitution(self, case, value):
+        f, names = case
+        R, p = f.ring, f.ring.p
+        first, S = names[0], R.without(names[0])
+        total, substituted = R.zero(), S.zero()
+        for key, coeff in f.split_variables(*names).items():
+            assert coeff.ring == R.without(*names) and not coeff.is_zero()
+            exps = dict(zip(names, key))
+            total = total + coeff.map_to(R) * R.monomial([exps.get(v, 0) for v in R.variables])
+            rest = S.monomial([exps.get(v, 0) for v in S.variables], pow(value, exps[first], p))
+            substituted = substituted + coeff.map_to(S) * rest
+        assert total == f
+        assert f.substitute_constant(first, value) == substituted
 
     def test_map_to_extension(self):
         R = ring(3)
