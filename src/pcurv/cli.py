@@ -18,7 +18,9 @@ with its position (``bracket[0][1]``, ``module.matrices[0][0][1]``).
 
 Exit status: 0 all checks passed (or an expected failure occurred),
 1 a mathematical check failed, 2 the input was unusable or exceeded the
-degree bound (including a prime p above it, rejected before any work).
+degree bound (including a prime p above it, and a --trials below 1,
+--degree-panel below 0 or --n outside 1..MAX_IDENTITY_COORDINATES, all
+rejected before any work).
 
 The structured (json) report format contains no timing information and is
 byte-identical across runs for the same scenario and seed; the text format
@@ -50,6 +52,7 @@ from .connection import (
     check_flat_commutation,
     check_higgs_commutativity,
     check_p_linearity,
+    mat_map,
     p_curvature,
     validate_flatness,
 )
@@ -63,6 +66,7 @@ from .poly import (
     PrimeField,
     ResourceLimitError,
     parse_poly,
+    render_monomial,
 )
 from .report import CheckResult, ValidationReport
 
@@ -72,6 +76,11 @@ COMMANDS = ("validate", "pcurvature", "hitchin", "descend", "rees", "identities"
 EXIT_OK = 0
 EXIT_MATH_FAILURE = 1
 EXIT_INPUT_ERROR = 2
+
+# The identity battery grows fast with the number of coordinates.  At p = 3
+# on a 2-core machine it took 5.6 s at n = 8 with --trials 1 (23.5 s with the
+# default 20 trials) and 34 s at n = 12 with --trials 1.
+MAX_IDENTITY_COORDINATES = 8
 
 
 class ScenarioError(Exception):
@@ -272,14 +281,7 @@ def load_scenario(path: str) -> Scenario:
 
 
 def _mono_str(yexp) -> str:
-    parts = [
-        f"y{a + 1}" if e == 1 else f"y{a + 1}^{e}" for a, e in enumerate(yexp) if e
-    ]
-    return "*".join(parts) if parts else "1"
-
-
-def _matrix_strings(matrix):
-    return [[str(entry) for entry in row] for row in matrix]
+    return render_monomial([f"y{a + 1}" for a in range(len(yexp))], yexp) or "1"
 
 
 def _require_module(scenario: Scenario):
@@ -319,7 +321,7 @@ def _compute_p_curvature(scenario, rep):
         rep.add("pcurvature.order_zero", False, witness=str(err))
         return None
     rep.add("pcurvature.order_zero", True)
-    rep.data["psi"] = [_matrix_strings(m) for m in C.psi]
+    rep.data["psi"] = [mat_map(str, m) for m in C.psi]
     return C
 
 
@@ -402,8 +404,7 @@ def _run_rees(scenario, rep, seed, trials, degree):
     for t_value, label in ((1, "fiber_t1"), (0, "fiber_t0")):
         fiber_algebroid = specialize_t(scenario.algebroid, t_value)
         fiber_matrices = tuple(
-            tuple(tuple(c.substitute_constant(t_name, t_value) for c in row) for row in m)
-            for m in module.matrices
+            mat_map(lambda c: c.substitute_constant(t_name, t_value), m) for m in module.matrices
         )
         fiber_module = ConnectionModule(fiber_algebroid, module.rank, fiber_matrices)
         fiber_invariants = hitchin_invariants(p_curvature(fiber_module))
@@ -412,9 +413,7 @@ def _run_rees(scenario, rep, seed, trials, degree):
             v = value.substitute_constant(t_name, t_value)
             if not v.is_zero():
                 specialized[(k, yexp)] = v
-        fiber_table = {}
-        for k, yexp, value in fiber_invariants.items():
-            fiber_table[(k, yexp)] = value
+        fiber_table = {(k, yexp): value for k, yexp, value in fiber_invariants.items()}
         rep.add(
             f"rees.{label}_matches",
             specialized == fiber_table,
@@ -467,6 +466,20 @@ def identity_suite(p: int, n: int, *, seed=0, trials=50, degree=3) -> Report:
 # -- argument handling -----------------------------------------------------------
 
 
+def _bounded_int(low, high=None):
+    """An argparse type for an integer of at least ``low`` and at most
+    ``high``; argparse names the flag when it rejects a value."""
+
+    def bounded_int(text):
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            span = f"at least {low}" if high is None else f"between {low} and {high}"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+        return value
+
+    return bounded_int
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcurv",
@@ -475,11 +488,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("scenarios", nargs="*", help="scenario JSON files")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=20)
-    parser.add_argument("--degree-panel", type=int, default=3, dest="degree")
+    parser.add_argument("--trials", type=_bounded_int(1), default=20)
+    parser.add_argument("--degree-panel", type=_bounded_int(0), default=3, dest="degree")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--p", type=int, default=3, help="prime for the identities command")
-    parser.add_argument("--n", type=int, default=1, help="coordinates for the identities command")
+    parser.add_argument(
+        "--n",
+        type=_bounded_int(1, MAX_IDENTITY_COORDINATES),
+        default=1,
+        help=f"coordinates for the identities command (at most {MAX_IDENTITY_COORDINATES})",
+    )
     return parser
 
 

@@ -50,19 +50,28 @@ module action.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 
 from . import operators as ops
 from .algebroid import AlgebroidPresentation, PStructureShift, tangent_algebroid
-from .poly import Derivation, Poly, PolyRing
+from .poly import Derivation, Poly, PolyRing, power
 from .report import ValidationReport
 
-# -- small exact matrix helpers (entries are Poly) ---------------------------
+# -- exact matrix helpers -----------------------------------------------------
+#
+# The only matrix arithmetic.  A matrix is a tuple of rows; its entries may
+# be of any ring type with + - * (polynomials, or the Weyl-algebra operators
+# of MatrixDiffOp), and mat_scalar takes that type's zero.
+
+
+def mat_scalar(c, zero, r: int):
+    """The r x r matrix c I."""
+    return tuple(tuple(c if i == j else zero for j in range(r)) for i in range(r))
 
 
 def identity_matrix(ring: PolyRing, r: int):
-    return tuple(
-        tuple(ring.one() if i == j else ring.zero() for j in range(r)) for i in range(r)
-    )
+    return mat_scalar(ring.one(), ring.zero(), r)
 
 
 def mat_add(a, b):
@@ -78,29 +87,12 @@ def mat_scale(f: Poly, a):
 
 
 def mat_mul(a, b):
-    r, mid, c = len(a), len(b), len(b[0])
-    out = []
-    for i in range(r):
-        row = []
-        for j in range(c):
-            total = a[i][0] * b[0][j]
-            for k in range(1, mid):
-                total = total + a[i][k] * b[k][j]
-            row.append(total)
-        out.append(tuple(row))
-    return tuple(out)
+    columns = tuple(zip(*b))
+    return tuple(tuple(reduce(add, map(mul, row, col)) for col in columns) for row in a)
 
 
 def mat_pow(a, k: int, ring: PolyRing):
-    result = identity_matrix(ring, len(a))
-    base = a
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        if k > 1:
-            base = mat_mul(base, base)
-        k >>= 1
-    return result
+    return power(a, k, identity_matrix(ring, len(a)), mat_mul)
 
 
 def mat_commutator(a, b):
@@ -108,14 +100,12 @@ def mat_commutator(a, b):
 
 
 def mat_trace(a):
-    total = a[0][0]
-    for i in range(1, len(a)):
-        total = total + a[i][i]
-    return total
+    return reduce(add, (row[i] for i, row in enumerate(a)))
 
 
-def mat_derive(d: Derivation, a):
-    return tuple(tuple(d(x) for x in row) for row in a)
+def mat_map(fn, a):
+    """Apply ``fn`` to every entry (a derivation, a change of ring, ...)."""
+    return tuple(tuple(fn(x) for x in row) for row in a)
 
 
 def mat_is_zero(a) -> bool:
@@ -131,7 +121,8 @@ def mat_str(a) -> str:
 
 class MatrixDiffOp:
     """A square matrix of Weyl-algebra elements, acting on polynomial
-    vectors with the derivations applied coefficient-wise."""
+    vectors with the derivations applied coefficient-wise.  Its arithmetic
+    is the ``mat_*`` helpers on the entries."""
 
     __slots__ = ("weyl", "entries")
 
@@ -145,13 +136,11 @@ class MatrixDiffOp:
 
     @classmethod
     def identity(cls, weyl, r):
-        one = ops.one(weyl)
-        z = ops.zero(weyl)
-        return cls(weyl, [[one if i == j else z for j in range(r)] for i in range(r)])
+        return cls(weyl, mat_scalar(ops.one(weyl), ops.zero(weyl), r))
 
     @classmethod
     def from_matrix(cls, weyl, matrix):
-        return cls(weyl, [[ops.from_poly(weyl, f) for f in row] for row in matrix])
+        return cls(weyl, mat_map(lambda f: ops.from_poly(weyl, f), matrix))
 
     def __eq__(self, other):
         if not isinstance(other, MatrixDiffOp):
@@ -159,51 +148,27 @@ class MatrixDiffOp:
         return self.weyl == other.weyl and self.entries == other.entries
 
     def __add__(self, other):
-        return MatrixDiffOp(
-            self.weyl,
-            [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-        )
+        return MatrixDiffOp(self.weyl, mat_add(self.entries, other.entries))
 
     def __sub__(self, other):
-        return MatrixDiffOp(
-            self.weyl,
-            [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-        )
+        return MatrixDiffOp(self.weyl, mat_sub(self.entries, other.entries))
 
     def __mul__(self, other):
         if not isinstance(other, MatrixDiffOp):
             return NotImplemented
-        r = self.rank
-        out = []
-        for i in range(r):
-            row = []
-            for j in range(r):
-                total = ops.zero(self.weyl)
-                for k in range(r):
-                    total = total + self.entries[i][k] * other.entries[k][j]
-                row.append(total)
-            out.append(row)
-        return MatrixDiffOp(self.weyl, out)
+        return MatrixDiffOp(self.weyl, mat_mul(self.entries, other.entries))
 
     def __pow__(self, k: int):
-        result = MatrixDiffOp.identity(self.weyl, self.rank)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            if k > 1:
-                base = base * base
-            k >>= 1
-        return result
+        return power(self, k, MatrixDiffOp.identity(self.weyl, self.rank))
 
     def scale(self, f: Poly):
-        return MatrixDiffOp(self.weyl, [[x.scale(f) for x in row] for row in self.entries])
+        return MatrixDiffOp(self.weyl, mat_map(lambda x: x.scale(f), self.entries))
 
     def commutator(self, other):
-        return self * other - other * self
+        return MatrixDiffOp(self.weyl, mat_commutator(self.entries, other.entries))
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.entries for x in row)
+        return mat_is_zero(self.entries)
 
     def order(self) -> int:
         """Largest filtration degree among the entries; -1 if zero."""
@@ -213,20 +178,18 @@ class MatrixDiffOp:
         """Drop the terms that act as zero on polynomial vectors: monomials
         in which some coordinate derivation appears with exponent >= p."""
         p = self.weyl.p
-        out = []
-        for row in self.entries:
-            new_row = []
-            for x in row:
-                terms = {b: f for b, f in x.terms.items() if all(k < p for k in b)}
-                new_row.append(ops.OperatorElement(self.weyl, terms))
-            out.append(new_row)
-        return MatrixDiffOp(self.weyl, out)
+
+        def acting_part(x):
+            terms = {b: f for b, f in x.terms.items() if all(k < p for k in b)}
+            return ops.OperatorElement(self.weyl, terms)
+
+        return MatrixDiffOp(self.weyl, mat_map(acting_part, self.entries))
 
     def as_matrix(self):
         """The entries as plain polynomials; requires order at most 0."""
         if self.order() > 0:
             raise ValueError(f"operator has order {self.order()} > 0")
-        return tuple(tuple(x.function_part() for x in row) for row in self.entries)
+        return mat_map(ops.OperatorElement.function_part, self.entries)
 
     def apply(self, section):
         """Act on a polynomial vector (coefficient-wise derivations)."""
@@ -245,7 +208,7 @@ class MatrixDiffOp:
         return tuple(out)
 
     def __str__(self):
-        return "[" + "; ".join(", ".join(str(x) for x in row) for row in self.entries) + "]"
+        return mat_str(self.entries)
 
 
 # -- connection modules -------------------------------------------------------
@@ -268,10 +231,8 @@ class ConnectionModule:
         for m in matrices:
             if len(m) != r or any(len(row) != r for row in m):
                 raise ValueError("connection matrices must be rank x rank")
-            for row in m:
-                for c in row:
-                    if c.ring != self.algebroid.ring:
-                        raise ValueError("matrix entry from a different ring")
+            if any(c.ring != self.ring for row in m for c in row):
+                raise ValueError("matrix entry from a different ring")
 
     @property
     def ring(self) -> PolyRing:
@@ -295,25 +256,8 @@ class ConnectionModule:
         """nabla_{e_a} = delta_a + A_a as a matrix operator."""
         weyl = self.weyl()
         d_op = self.anchor_op(self.algebroid.anchor[a])
-        base = MatrixDiffOp.from_matrix(weyl, self.matrices[a])
-        diag = MatrixDiffOp(
-            weyl,
-            [
-                [d_op if i == j else ops.zero(weyl) for j in range(self.rank)]
-                for i in range(self.rank)
-            ],
-        )
-        return diag + base
-
-
-def nabla_of(M: ConnectionModule, f: Poly, coeffs) -> MatrixDiffOp:
-    """The action of the degree-(at most)-1 element f + sum g_a e_a."""
-    weyl = M.weyl()
-    out = MatrixDiffOp.from_matrix(weyl, mat_scale(f, identity_matrix(M.ring, M.rank)))
-    for a, g in enumerate(coeffs):
-        if not g.is_zero():
-            out = out + M.generator_action(a).scale(g)
-    return out
+        diag = MatrixDiffOp(weyl, mat_scalar(d_op, ops.zero(weyl), self.rank))
+        return diag + MatrixDiffOp.from_matrix(weyl, self.matrices[a])
 
 
 def represent_operator(M: ConnectionModule, op: ops.OperatorElement) -> MatrixDiffOp:
@@ -321,13 +265,13 @@ def represent_operator(M: ConnectionModule, op: ops.OperatorElement) -> MatrixDi
     normal-form word e^beta to the product of the generator-action powers
     (nabla_{e_a})^{beta_a}."""
     weyl = M.weyl()
-    actions = [M.generator_action(a) for a in range(M.algebroid.rank)]
-    out = MatrixDiffOp(weyl, [[ops.zero(weyl)] * M.rank for _ in range(M.rank)])
+    zero = ops.zero(weyl)
+    out = MatrixDiffOp(weyl, mat_scalar(zero, zero, M.rank))
     for beta, f in op.terms.items():
         word = MatrixDiffOp.identity(weyl, M.rank)
         for a, k in enumerate(beta):
             if k:
-                word = word * actions[a] ** k
+                word = word * M.generator_action(a) ** k
         out = out + word.scale(f)
     return out
 
@@ -340,9 +284,8 @@ def validate_flatness(M: ConnectionModule) -> ValidationReport:
     bad = []
     for a in range(A.rank):
         for b in range(a + 1, A.rank):
-            curvature = actions[a].commutator(actions[b]) - nabla_of(
-                M, M.ring.zero(), A.bracket[a][b]
-            )
+            bracket = ops.from_h_element(A, A.bracket[a][b])
+            curvature = actions[a].commutator(actions[b]) - represent_operator(M, bracket)
             if not curvature.is_zero():
                 bad.append(f"(e{a + 1},e{b + 1}): {curvature}")
     rep.add("flatness", not bad, witness="; ".join(bad[:2]) or None, pairs=A.rank * (A.rank - 1) // 2)
@@ -369,7 +312,7 @@ class PCurvature:
 def _constant_action(M: ConnectionModule, f: Poly, coeffs):
     """f I + sum_k g_k A_k: the action of f + sum_k g_k e_k on the unit
     sections, which every anchor derivation kills."""
-    out = mat_scale(f, identity_matrix(M.ring, M.rank))
+    out = mat_scalar(f, M.ring.zero(), M.rank)
     for g, matrix in zip(coeffs, M.matrices):
         if not g.is_zero():
             out = mat_add(out, mat_scale(g, matrix))
@@ -390,7 +333,7 @@ def _katz_psi(M: ConnectionModule, coeffs, target: ops.OperatorElement):
     B = _constant_action(M, M.ring.zero(), coeffs)
     X = B
     for _ in range(A.p - 1):
-        X = mat_add(mat_derive(delta, X), mat_mul(B, X))
+        X = mat_add(mat_map(delta, X), mat_mul(B, X))
     residue = delta.pth_power() + A.anchor_of(h).scale(M.ring.constant(-1))
     return mat_sub(X, _constant_action(M, f, h)), residue
 
@@ -499,7 +442,7 @@ def check_flat_commutation(C: PCurvature) -> ValidationReport:
             if not psi_op.commutator(M.generator_action(b)).is_zero():
                 bad_op.append(f"[psi_{a + 1}, nabla_{b + 1}]")
             lhs = mat_commutator(C.psi[a], M.matrices[b])
-            rhs = mat_derive(A.anchor[b], C.psi[a])
+            rhs = mat_map(A.anchor[b], C.psi[a])
             if lhs != rhs:
                 bad_matrix.append(f"(a={a + 1}, b={b + 1})")
     rep.add("commutes_with_module_action", not bad_op, witness="; ".join(bad_op[:2]) or None)

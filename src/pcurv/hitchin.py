@@ -31,8 +31,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebroid import AlgebroidPresentation, anchor_generic_surjectivity, _fresh_name
-from .connection import PCurvature, check_higgs_commutativity, mat_scale, mat_trace
-from .poly import Derivation, NotDescendable, Poly, PolyRing, det
+from .connection import (
+    PCurvature,
+    check_higgs_commutativity,
+    mat_map,
+    mat_scalar,
+    mat_scale,
+    mat_sub,
+    mat_trace,
+)
+from .poly import Derivation, NotDescendable, Poly, PolyRing, det, render_terms
 from .report import ValidationReport
 
 
@@ -67,27 +75,8 @@ class HitchinInvariants:
                 yield k, yexp, table[yexp]
 
     def render(self, k: int) -> str:
-        table = self.coefficients[k - 1]
-        if not table:
-            return "0"
-        chunks = []
-        for yexp in sorted(table, reverse=True):
-            coeff = table[yexp]
-            mono = "*".join(
-                f"y{a + 1}" if e == 1 else f"y{a + 1}^{e}"
-                for a, e in enumerate(yexp)
-                if e
-            )
-            cs = str(coeff)
-            if not mono:
-                chunks.append(cs)
-            elif cs == "1":
-                chunks.append(mono)
-            elif len(coeff.terms) > 1:
-                chunks.append(f"({cs})*{mono}")
-            else:
-                chunks.append(f"{cs}*{mono}")
-        return " + ".join(chunks)
+        names = [f"y{a + 1}" for a in range(self.generators)]
+        return render_terms(names, self.coefficients[k - 1])
 
     def __str__(self):
         return "; ".join(f"e{k} = {self.render(k)}" for k in range(1, self.rank + 1))
@@ -100,30 +89,15 @@ def characteristic_polynomial(C: PCurvature) -> CharPoly:
     if not check_higgs_commutativity(C).passed:
         raise ValueError("p-curvature matrices do not commute")
     base = C.ring
-    m = C.algebroid.rank
     duals = []
-    for a in range(m):
-        duals.append(_fresh_name(base.extended(*duals) if duals else base, f"y{a + 1}"))
+    for a in range(C.algebroid.rank):
+        duals.append(_fresh_name(base.extended(*duals), f"y{a + 1}"))
     lam = _fresh_name(base.extended(*duals), "lam")
     ext = base.extended(*duals, lam)
-    r = C.module.rank
-    psi_total = None
-    for a in range(m):
-        scaled = mat_scale(
-            ext.variable(duals[a]),
-            tuple(tuple(c.map_to(ext) for c in row) for row in C.psi[a]),
-        )
-        psi_total = scaled if psi_total is None else tuple(
-            tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(psi_total, scaled)
-        )
-    lam_poly = ext.variable(lam)
-    matrix = tuple(
-        tuple(
-            (lam_poly - psi_total[i][j]) if i == j else -psi_total[i][j]
-            for j in range(r)
-        )
-        for i in range(r)
-    )
+    matrix = mat_scalar(ext.variable(lam), ext.zero(), C.module.rank)
+    for y, psi in zip(duals, C.psi):
+        lifted = mat_map(lambda c: c.map_to(ext), psi)
+        matrix = mat_sub(matrix, mat_scale(ext.variable(y), lifted))
     return CharPoly(ext, det(matrix), lam, tuple(duals))
 
 
@@ -132,13 +106,12 @@ def hitchin_invariants(C: PCurvature) -> HitchinInvariants:
     (-1)^k-normalized coefficients of lam^(r-k)."""
     cp = characteristic_polynomial(C)
     r = C.module.rank
-    m = C.algebroid.rank
     coefficients = tuple({} for _ in range(r))
     for (lam_exp, *yexp), coeff in cp.value.split_variables(cp.lam, *cp.duals).items():
         k = r - lam_exp
         if k > 0:
             coefficients[k - 1][tuple(yexp)] = -coeff if k % 2 == 1 else coeff
-    return HitchinInvariants(r, m, C.ring, coefficients)
+    return HitchinInvariants(r, C.algebroid.rank, C.ring, coefficients)
 
 
 # -- canonical connection and Cartier descent --------------------------------

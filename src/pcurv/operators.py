@@ -22,7 +22,7 @@ elements f + sum g_a e_a are the ones a p-structure acts on.
 from __future__ import annotations
 
 from .algebroid import AlgebroidPresentation, PStructureShift
-from .poly import Poly, ResourceLimitError
+from .poly import Poly, ResourceLimitError, power, render_terms
 from .report import ValidationReport
 
 # Normal forms larger than this abort; guards runaway rewriting only.
@@ -129,17 +129,7 @@ class OperatorElement:
         return NotImplemented
 
     def __pow__(self, k: int) -> "OperatorElement":
-        if k < 0:
-            raise ValueError("negative operator power")
-        result = one(self.algebroid)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            if k > 1:
-                base = base * base
-            k >>= 1
-        return result
+        return power(self, k, one(self.algebroid))
 
     def commutator(self, other) -> "OperatorElement":
         return self * other - other * self
@@ -183,30 +173,7 @@ class OperatorElement:
     # -- rendering ---------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for beta, f in sorted(
-            self.terms.items(), key=lambda bf: (sum(bf[0]), bf[0]), reverse=True
-        ):
-            gens = []
-            for a, k in enumerate(beta):
-                if k == 1:
-                    gens.append(f"e{a + 1}")
-                elif k > 1:
-                    gens.append(f"e{a + 1}^{k}")
-            if not gens:
-                chunks.append(str(f))
-                continue
-            mono = "*".join(gens)
-            fs = str(f)
-            if fs == "1":
-                chunks.append(mono)
-            elif ("+" in fs) or (len(f.terms) > 1):
-                chunks.append(f"({fs})*{mono}")
-            else:
-                chunks.append(f"{fs}*{mono}")
-        return " + ".join(chunks)
+        return render_terms([f"e{a + 1}" for a in range(self.algebroid.rank)], self.terms)
 
     def __repr__(self):
         return f"OperatorElement({self})"
@@ -252,12 +219,8 @@ class SymbolElement:
         return SymbolElement(self.algebroid, self.sym_degree + other.sym_degree, out)
 
     def __pow__(self, k: int):
-        result = SymbolElement(
-            self.algebroid, 0, {(0,) * self.algebroid.rank: self.algebroid.ring.one()}
-        )
-        for _ in range(k):
-            result = result * self
-        return result
+        A = self.algebroid
+        return power(self, k, SymbolElement(A, 0, {(0,) * A.rank: A.ring.one()}))
 
     def __str__(self):
         op = OperatorElement(self.algebroid, self.terms)

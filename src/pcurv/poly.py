@@ -32,6 +32,7 @@ A single leading sign is also accepted on input.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -61,6 +62,46 @@ def _is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def power(base, k: int, one, mul=operator.mul):
+    """base ** k by square-and-multiply, starting from ``one``; the one
+    power loop behind every element type's ``**``."""
+    if k < 0:
+        raise ValueError("negative exponent")
+    result = one
+    while k:
+        if k & 1:
+            result = mul(result, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return result
+
+
+def render_monomial(names, exponents) -> str:
+    """``x*y^2`` for the exponents (1, 2) of the names (x, y); empty for
+    the unit monomial."""
+    return "*".join(n if k == 1 else f"{n}^{k}" for n, k in zip(names, exponents) if k)
+
+
+def render_terms(names, terms: dict) -> str:
+    """A sum of coefficient * monomial terms, keyed by exponent tuples over
+    ``names``: total degree descending, then exponents descending.  A unit
+    coefficient is dropped and a coefficient that is itself a sum is
+    bracketed."""
+    chunks = []
+    for e, c in sorted(terms.items(), key=lambda ec: (sum(ec[0]), ec[0]), reverse=True):
+        mono, cs = render_monomial(names, e), str(c)
+        if not mono:
+            chunks.append(cs)
+        elif cs == "1":
+            chunks.append(mono)
+        elif "+" in cs:
+            chunks.append(f"({cs})*{mono}")
+        else:
+            chunks.append(f"{cs}*{mono}")
+    return " + ".join(chunks) or "0"
 
 
 @dataclass(frozen=True)
@@ -277,19 +318,9 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative exponent")
         if self.terms and self.total_degree() * k > DEGREE_LIMIT:
             raise ResourceLimitError("power degree exceeds the configured bound")
-        result = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base2 = base * base if k > 1 else base
-            base = base2
-            k >>= 1
-        return result
+        return power(self, k, self.ring.one())
 
     # -- calculus --------------------------------------------------------
 
@@ -388,28 +419,8 @@ class Poly:
 
     # -- rendering -------------------------------------------------------
 
-    def _sorted_terms(self):
-        # canonical order: total degree descending, then exponents descending
-        return sorted(self.terms.items(), key=lambda ec: (sum(ec[0]), ec[0]), reverse=True)
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for e, c in self._sorted_terms():
-            factors = []
-            for name, k in zip(self.ring.variables, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            if not factors:
-                chunks.append(str(c))
-            elif c == 1:
-                chunks.append("*".join(factors))
-            else:
-                chunks.append(f"{c}*" + "*".join(factors))
-        return " + ".join(chunks)
+        return render_terms(self.ring.variables, self.terms)
 
     def __repr__(self):
         return f"Poly({self})"

@@ -10,7 +10,9 @@ from pcurv.cli import (
     EXIT_INPUT_ERROR,
     EXIT_MATH_FAILURE,
     EXIT_OK,
+    MAX_IDENTITY_COORDINATES,
     ScenarioError,
+    _build_parser,
     identity_suite,
     load_scenario,
     main,
@@ -263,3 +265,33 @@ class TestMainEntry:
         )
         assert result.returncode == 0
         assert "x^2 + 2" in result.stdout
+
+
+class TestArgumentBounds:
+    CRYSTALLINE = str(SCENARIOS / "crystalline_1d.json")
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["descend", CRYSTALLINE, "--trials", "0"], "--trials"),
+            (["identities", "--trials", "-3"], "--trials"),
+            (["descend", CRYSTALLINE, "--degree-panel", "-1"], "--degree-panel"),
+            (["identities", "--degree-panel", "-1"], "--degree-panel"),
+            (["identities", "--n", "-1"], "--n"),
+            (["identities", "--n", "0"], "--n"),
+            (["identities", "--n", "40", "--trials", "1"], "--n"),
+        ],
+    )
+    def test_bad_value_exits_2_naming_the_flag(self, args, flag):
+        result = subprocess.run(
+            [sys.executable, "-m", "pcurv", *args], capture_output=True, text=True, timeout=15
+        )
+        assert result.returncode == EXIT_INPUT_ERROR
+        assert f"argument {flag}: must be" in result.stderr
+        assert result.stdout == ""
+
+    def test_boundary_values_accepted(self):
+        args = _build_parser().parse_args(
+            ["identities", "--trials", "1", "--degree-panel", "0", "--n", str(MAX_IDENTITY_COORDINATES)]
+        )
+        assert (args.trials, args.degree, args.n) == (1, 0, MAX_IDENTITY_COORDINATES)

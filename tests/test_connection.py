@@ -20,7 +20,6 @@ from pcurv.connection import (
     mat_mul,
     mat_pow,
     mat_scale,
-    nabla_of,
     p_curvature,
     represent_operator,
     validate_flatness,
@@ -41,7 +40,7 @@ class TestNablaOf:
     def test_unit(self):
         R = ring(3)
         M = scalar_module(tangent_algebroid(R), parse_poly("x^2", R))
-        op = nabla_of(M, R.one(), (R.zero(),))
+        op = represent_operator(M, ops.one(M.algebroid))
         assert op.order() == 0
         assert op.as_matrix() == ((R.one(),),)
 
@@ -55,7 +54,7 @@ class TestNablaOf:
         R = ring(3)
         x = R.variable("x")
         M = scalar_module(tangent_algebroid(R), x * x)
-        op = nabla_of(M, R.zero(), (x,))
+        op = represent_operator(M, ops.from_h_element(M.algebroid, (x,)))
         assert str(op.entries[0][0]) == "x*e1 + x^3"
 
     def test_operator_application(self):

@@ -36,6 +36,17 @@ def random_poly(rng, R, max_degree=3, max_terms=4):
     return out
 
 
+@st.composite
+def printable_polys(draw):
+    """A random polynomial in 1-3 coordinates, with or without a
+    deformation variable t."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    names = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    R = ring(p, names + ("t",), "t") if draw(st.booleans()) else ring(p, names)
+    exponents = st.tuples(*[st.integers(0, 12)] * R.nvars)
+    return Poly(R, draw(st.dictionaries(exponents, st.integers(1, p - 1), max_size=8)))
+
+
 class TestParse:
     def test_reduces_mod_p(self):
         R = ring(3)
@@ -85,6 +96,11 @@ class TestParse:
         R = ring(5, ("x", "y"))
         f = parse_poly(src, R)
         assert parse_poly(str(f), R) == f
+
+    @settings(max_examples=150, deadline=None)
+    @given(printable_polys())
+    def test_str_round_trip_random(self, f):
+        assert parse_poly(str(f), f.ring) == f
 
 
 class TestRingAxioms:
