@@ -31,7 +31,7 @@ C = p_curvature(ConnectionModule(T, 1, (((x * x,),),)))
 print("char poly        :", characteristic_polynomial(C))
 I = hitchin_invariants(C)
 print("invariants       :", I)
-print("trace flatness   :", validate_trace_flatness(C).passed)
+print("trace flatness   :", validate_trace_flatness(C, I).passed)
 D = descend_invariants(I, T)
 for k, yexp, value in D.descended():
     print(f"descended e{k}    : {value}   (cube: {value ** 3})")

@@ -18,9 +18,10 @@ with its position (``bracket[0][1]``, ``module.matrices[0][0][1]``).
 
 Exit status: 0 all checks passed (or an expected failure occurred),
 1 a mathematical check failed, 2 the input was unusable or exceeded the
-degree bound (including a prime p above it, and a --trials below 1,
---degree-panel below 0 or --n outside 1..MAX_IDENTITY_COORDINATES, all
-rejected before any work).
+degree bound (including a prime p above it, a field of the wrong JSON type
+such as a "rees" that is not true or false or a boolean where an integer
+belongs, and a --trials outside 1..MAX_TRIALS, --degree-panel below 0 or
+--n outside 1..MAX_IDENTITY_COORDINATES, all rejected before any work).
 
 The structured (json) report format contains no timing information and is
 byte-identical across runs for the same scenario and seed; the text format
@@ -50,11 +51,9 @@ from .connection import (
     ConnectionModule,
     check_abstract_action_oracle,
     check_flat_commutation,
-    check_higgs_commutativity,
     check_p_linearity,
     mat_map,
     p_curvature,
-    validate_flatness,
 )
 from .hitchin import descend_invariants, hitchin_invariants, validate_trace_flatness
 from .panels import poly_panel
@@ -71,7 +70,6 @@ from .poly import (
 from .report import CheckResult, ValidationReport
 
 SCHEMA_VERSION = 1
-COMMANDS = ("validate", "pcurvature", "hitchin", "descend", "rees", "identities")
 
 EXIT_OK = 0
 EXIT_MATH_FAILURE = 1
@@ -81,6 +79,10 @@ EXIT_INPUT_ERROR = 2
 # on a 2-core machine it took 5.6 s at n = 8 with --trials 1 (23.5 s with the
 # default 20 trials) and 34 s at n = 12 with --trials 1.
 MAX_IDENTITY_COORDINATES = 8
+# The random panels grow linearly with --trials.  On the same machine, 100
+# trials took 4.5 s for validate on crystalline_2d (1.0 s at the default 20),
+# 4.4 s for identities at p = 3, n = 2 and 8.9 s for that validate at 200.
+MAX_TRIALS = 100
 
 
 class ScenarioError(Exception):
@@ -90,11 +92,9 @@ class ScenarioError(Exception):
 @dataclass
 class Scenario:
     name: str
-    description: str
     p: int
     rees: bool
     expect: str | None
-    base: AlgebroidPresentation          # tables as given, before deformation
     algebroid: AlgebroidPresentation     # after the optional Rees step
     structure: object                    # algebroid or PStructureShift
     module: ConnectionModule | None
@@ -167,7 +167,8 @@ def _require(doc: dict, key: str, kind=None):
     if key not in doc:
         raise ScenarioError(f"missing field {key!r}")
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    # the exact type: JSON true and false load as bool, a subclass of int
+    if kind is not None and type(value) is not kind:
         raise ScenarioError(f"field {key!r} has the wrong type")
     return value
 
@@ -212,7 +213,7 @@ def load_scenario(path: str) -> Scenario:
     coords = _require(doc, "coordinates", list)
     if not all(isinstance(c, str) for c in coords):
         raise ScenarioError("coordinates must be strings")
-    rees = bool(doc.get("rees", False))
+    rees = _require(doc, "rees", bool) if "rees" in doc else False
     expect = doc.get("expect")
     if expect not in (None, "descends", "not_descendable"):
         raise ScenarioError(f"unknown expectation {expect!r}")
@@ -230,16 +231,11 @@ def load_scenario(path: str) -> Scenario:
     anchors = tuple(Derivation(ring, row) for row in anchor_rows)
     p_op = _parse_array(_require(block, "p_op"), ring, (rank, rank), "p_op")
     try:
-        base = AlgebroidPresentation(ring, rank, bracket, anchors, p_op)
+        algebroid = AlgebroidPresentation(ring, rank, bracket, anchors, p_op)
+        if rees:
+            algebroid = rees_algebroid(algebroid)
     except ValueError as err:
         raise ScenarioError(str(err)) from err
-
-    algebroid = base
-    if rees:
-        try:
-            algebroid = rees_algebroid(base)
-        except ValueError as err:
-            raise ScenarioError(str(err)) from err
 
     structure = algebroid
     if "shift" in doc:
@@ -266,11 +262,9 @@ def load_scenario(path: str) -> Scenario:
 
     return Scenario(
         name=name,
-        description=doc.get("description", ""),
         p=p,
         rees=rees,
         expect=expect,
-        base=base,
         algebroid=algebroid,
         structure=structure,
         module=module,
@@ -306,14 +300,13 @@ def _run_validate(scenario, rep, seed, trials, degree):
         ops.check_enveloping_p_structure(scenario.structure, trials=trials, seed=seed, max_degree=degree),
     )
     if scenario.module is not None:
-        rep.merge("module", validate_flatness(scenario.module))
+        rep.merge("module", scenario.module.flatness)
 
 
-def _compute_p_curvature(scenario, rep):
+def _run_pcurvature(scenario, rep, seed, trials, degree):
     module = _require_module(scenario)
-    flat = validate_flatness(module)
-    rep.merge("module", flat)
-    if not flat.passed:
+    rep.merge("module", module.flatness)
+    if not module.flatness.passed:
         return None
     try:
         C = p_curvature(module, structure=scenario.structure)
@@ -322,17 +315,10 @@ def _compute_p_curvature(scenario, rep):
         return None
     rep.add("pcurvature.order_zero", True)
     rep.data["psi"] = [mat_map(str, m) for m in C.psi]
-    return C
-
-
-def _run_pcurvature(scenario, rep, seed, trials, degree):
-    C = _compute_p_curvature(scenario, rep)
-    if C is None:
-        return None
     rep.merge("pcurvature", check_abstract_action_oracle(C))
     panel = poly_panel(C.ring, max(trials // 4, 2), seed=seed, max_degree=min(degree, 2))
     rep.merge("pcurvature", check_p_linearity(C, panel))
-    rep.merge("pcurvature", check_higgs_commutativity(C))
+    rep.merge("pcurvature", C.commutativity)
     rep.merge("pcurvature", check_flat_commutation(C))
     return C
 
@@ -346,7 +332,7 @@ def _run_hitchin(scenario, rep, seed, trials, degree):
     rep.data["invariants"] = {
         f"e{k}": invariants.render(k) for k in range(1, invariants.rank + 1)
     }
-    rep.merge("hitchin", validate_trace_flatness(C))
+    rep.merge("hitchin", validate_trace_flatness(C, invariants))
     return C, invariants
 
 
@@ -387,7 +373,6 @@ def _run_rees(scenario, rep, seed, trials, degree):
         raise ScenarioError("the rees command needs a scenario with \"rees\": true")
     if not isinstance(scenario.structure, AlgebroidPresentation):
         raise ScenarioError("the rees command does not support shifted structures")
-    module = _require_module(scenario)
     C, invariants = _run_hitchin(scenario, rep, seed, trials, degree)
     if invariants is None:
         return
@@ -404,9 +389,9 @@ def _run_rees(scenario, rep, seed, trials, degree):
     for t_value, label in ((1, "fiber_t1"), (0, "fiber_t0")):
         fiber_algebroid = specialize_t(scenario.algebroid, t_value)
         fiber_matrices = tuple(
-            mat_map(lambda c: c.substitute_constant(t_name, t_value), m) for m in module.matrices
+            mat_map(lambda c: c.substitute_constant(t_name, t_value), m) for m in C.module.matrices
         )
-        fiber_module = ConnectionModule(fiber_algebroid, module.rank, fiber_matrices)
+        fiber_module = ConnectionModule(fiber_algebroid, C.module.rank, fiber_matrices)
         fiber_invariants = hitchin_invariants(p_curvature(fiber_module))
         specialized = {}
         for k, yexp, value in invariants.items():
@@ -427,22 +412,23 @@ def _run_rees(scenario, rep, seed, trials, degree):
         }
 
 
+PIPELINES = {
+    "validate": _run_validate,
+    "pcurvature": _run_pcurvature,
+    "hitchin": _run_hitchin,
+    "descend": _run_descend,
+    "rees": _run_rees,
+}
+COMMANDS = (*PIPELINES, "identities")
+
+
 def run_scenario(path: str, command: str, *, seed=0, trials=20, degree=3):
     """Execute one command pipeline on one scenario file."""
     scenario = load_scenario(path)
-    rep = Report(scenario.name, command, seed, trials, degree)
-    if command == "validate":
-        _run_validate(scenario, rep, seed, trials, degree)
-    elif command == "pcurvature":
-        _run_pcurvature(scenario, rep, seed, trials, degree)
-    elif command == "hitchin":
-        _run_hitchin(scenario, rep, seed, trials, degree)
-    elif command == "descend":
-        _run_descend(scenario, rep, seed, trials, degree)
-    elif command == "rees":
-        _run_rees(scenario, rep, seed, trials, degree)
-    else:
+    if command not in PIPELINES:
         raise ScenarioError(f"unknown command {command!r}")
+    rep = Report(scenario.name, command, seed, trials, degree)
+    PIPELINES[command](scenario, rep, seed, trials, degree)
     return rep, (EXIT_OK if rep.passed else EXIT_MATH_FAILURE)
 
 
@@ -488,7 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("scenarios", nargs="*", help="scenario JSON files")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=_bounded_int(1), default=20)
+    parser.add_argument("--trials", type=_bounded_int(1, MAX_TRIALS), default=20)
     parser.add_argument("--degree-panel", type=_bounded_int(0), default=3, dest="degree")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--p", type=int, default=3, help="prime for the identities command")

@@ -50,12 +50,12 @@ module action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add, mul
 
 from . import operators as ops
 from .algebroid import AlgebroidPresentation, PStructureShift, tangent_algebroid
-from .poly import Derivation, Poly, PolyRing, power
+from .poly import Poly, PolyRing, power
 from .report import ValidationReport
 
 # -- exact matrix helpers -----------------------------------------------------
@@ -238,40 +238,49 @@ class ConnectionModule:
     def ring(self) -> PolyRing:
         return self.algebroid.ring
 
+    @cached_property
     def weyl(self) -> AlgebroidPresentation:
         """The Weyl-type algebra acting on the trivialized module."""
         return tangent_algebroid(self.ring)
 
-    def anchor_op(self, derivation: Derivation) -> ops.OperatorElement:
-        """Embed a derivation as a degree-1 Weyl-algebra element."""
-        weyl = self.weyl()
+    @cached_property
+    def actions(self) -> tuple:
+        """The generator actions nabla_{e_a} = delta_a + A_a as matrix
+        operators, each anchor derivation a degree-1 Weyl-algebra element."""
+        weyl = self.weyl
         coords = self.ring.coordinate_indices()
         ri = self.ring.rees_index
-        if ri is not None and not derivation.components[ri].is_zero():
-            raise ValueError("derivation acts on the deformation variable")
-        coeffs = tuple(derivation.components[j] for j in coords)
-        return ops.from_h_element(weyl, coeffs)
+        actions = []
+        for derivation, matrix in zip(self.algebroid.anchor, self.matrices):
+            if ri is not None and not derivation.components[ri].is_zero():
+                raise ValueError("derivation acts on the deformation variable")
+            d_op = ops.from_h_element(weyl, tuple(derivation.components[j] for j in coords))
+            diag = MatrixDiffOp(weyl, mat_scalar(d_op, ops.zero(weyl), self.rank))
+            actions.append(diag + MatrixDiffOp.from_matrix(weyl, matrix))
+        return tuple(actions)
 
     def generator_action(self, a: int) -> MatrixDiffOp:
         """nabla_{e_a} = delta_a + A_a as a matrix operator."""
-        weyl = self.weyl()
-        d_op = self.anchor_op(self.algebroid.anchor[a])
-        diag = MatrixDiffOp(weyl, mat_scalar(d_op, ops.zero(weyl), self.rank))
-        return diag + MatrixDiffOp.from_matrix(weyl, self.matrices[a])
+        return self.actions[a]
+
+    @cached_property
+    def flatness(self) -> ValidationReport:
+        """:func:`validate_flatness` of this module, run once."""
+        return validate_flatness(self)
 
 
 def represent_operator(M: ConnectionModule, op: ops.OperatorElement) -> MatrixDiffOp:
     """The action of an arbitrary enveloping-algebra element, sending each
     normal-form word e^beta to the product of the generator-action powers
     (nabla_{e_a})^{beta_a}."""
-    weyl = M.weyl()
+    weyl = M.weyl
     zero = ops.zero(weyl)
     out = MatrixDiffOp(weyl, mat_scalar(zero, zero, M.rank))
     for beta, f in op.terms.items():
         word = MatrixDiffOp.identity(weyl, M.rank)
         for a, k in enumerate(beta):
             if k:
-                word = word * M.generator_action(a) ** k
+                word = word * M.actions[a] ** k
         out = out + word.scale(f)
     return out
 
@@ -280,12 +289,11 @@ def validate_flatness(M: ConnectionModule) -> ValidationReport:
     """[nabla_{e_a}, nabla_{e_b}] = nabla_{[e_a, e_b]} for all pairs."""
     rep = ValidationReport(f"flatness of rank-{M.rank} module over {M.algebroid}")
     A = M.algebroid
-    actions = [M.generator_action(a) for a in range(A.rank)]
     bad = []
     for a in range(A.rank):
         for b in range(a + 1, A.rank):
             bracket = ops.from_h_element(A, A.bracket[a][b])
-            curvature = actions[a].commutator(actions[b]) - represent_operator(M, bracket)
+            curvature = M.actions[a].commutator(M.actions[b]) - represent_operator(M, bracket)
             if not curvature.is_zero():
                 bad.append(f"(e{a + 1},e{b + 1}): {curvature}")
     rep.add("flatness", not bad, witness="; ".join(bad[:2]) or None, pairs=A.rank * (A.rank - 1) // 2)
@@ -307,6 +315,11 @@ class PCurvature:
     @property
     def ring(self) -> PolyRing:
         return self.module.ring
+
+    @cached_property
+    def commutativity(self) -> ValidationReport:
+        """:func:`check_higgs_commutativity` of these matrices, run once."""
+        return check_higgs_commutativity(self)
 
 
 def _constant_action(M: ConnectionModule, f: Poly, coeffs):
@@ -353,7 +366,7 @@ def p_curvature(M: ConnectionModule, structure=None) -> PCurvature:
     if structure is None:
         structure = M.algebroid
     A = M.algebroid
-    if not validate_flatness(M).passed:
+    if not M.flatness.passed:
         raise ValueError("module is not flat")
     psi = []
     for a in range(A.rank):
@@ -434,12 +447,11 @@ def check_flat_commutation(C: PCurvature) -> ValidationReport:
     with the anchor applied entrywise on the right-hand side."""
     rep = ValidationReport("commutation of the p-curvature with the module action")
     M, A = C.module, C.algebroid
-    weyl = M.weyl()
     bad_op, bad_matrix = [], []
     for a in range(A.rank):
-        psi_op = MatrixDiffOp.from_matrix(weyl, C.psi[a])
+        psi_op = MatrixDiffOp.from_matrix(M.weyl, C.psi[a])
         for b in range(A.rank):
-            if not psi_op.commutator(M.generator_action(b)).is_zero():
+            if not psi_op.commutator(M.actions[b]).is_zero():
                 bad_op.append(f"[psi_{a + 1}, nabla_{b + 1}]")
             lhs = mat_commutator(C.psi[a], M.matrices[b])
             rhs = mat_map(A.anchor[b], C.psi[a])

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from .algebroid import AlgebroidPresentation, anchor_generic_surjectivity, _fresh_name
 from .connection import (
     PCurvature,
-    check_higgs_commutativity,
     mat_map,
     mat_scalar,
     mat_scale,
@@ -85,8 +84,8 @@ class HitchinInvariants:
 def characteristic_polynomial(C: PCurvature) -> CharPoly:
     """Expand det(lam*I - sum_a y_a psi_a) exactly.  The p-curvature
     matrices must commute pairwise (they do for any valid input; this is
-    re-checked, not assumed)."""
-    if not check_higgs_commutativity(C).passed:
+    checked, not assumed)."""
+    if not C.commutativity.passed:
         raise ValueError("p-curvature matrices do not commute")
     base = C.ring
     duals = []
@@ -148,8 +147,9 @@ def descend_section(section):
 # -- trace flatness ------------------------------------------------------------
 
 
-def validate_trace_flatness(C: PCurvature) -> ValidationReport:
-    """Anchor derivatives of all invariant coefficients vanish.
+def validate_trace_flatness(C: PCurvature, invariants: HitchinInvariants) -> ValidationReport:
+    """Anchor derivatives of all invariant coefficients vanish; ``invariants``
+    are those of ``C``, as :func:`hitchin_invariants` returns them.
 
     Taking the trace of the commutation identity [psi_a, A_b] = delta_b . psi_a
     kills the left side, so delta_b(tr psi_a) = 0; the same holds for every
@@ -172,7 +172,6 @@ def validate_trace_flatness(C: PCurvature) -> ValidationReport:
             if not d(trace).is_zero():
                 bad.append(f"delta_{b + 1}(tr psi_{a + 1}) = {d(trace)}")
     rep.add("anchor_derivatives_of_traces", not bad, witness="; ".join(bad[:2]) or None)
-    invariants = hitchin_invariants(C)
     bad = []
     for k, yexp, coeff in invariants.items():
         for b, d in anchors:

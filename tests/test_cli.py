@@ -3,14 +3,18 @@ import pathlib
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
+from test_bench_tracer import load_tracing
 
+from pcurv import algebroid, connection
 from pcurv.cli import (
     EXIT_INPUT_ERROR,
     EXIT_MATH_FAILURE,
     EXIT_OK,
     MAX_IDENTITY_COORDINATES,
+    MAX_TRIALS,
     ScenarioError,
     _build_parser,
     identity_suite,
@@ -102,6 +106,29 @@ class TestLoading:
         scenario = load_scenario(str(SCENARIOS / "rees_family.json"))
         assert scenario.algebroid.ring.rees_variable == "t"
 
+    @pytest.mark.parametrize("value", ["false", "no", "true", 0, 1, None])
+    def test_rees_flag_must_be_a_json_boolean(self, tmp_path, capsys, value):
+        path = write_scenario(tmp_path, minimal_doc(rees=value))
+        assert main(["pcurvature", path]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: field 'rees' has the wrong type\n"
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("schema_version", lambda doc: doc.update(schema_version=True)),
+            ("p", lambda doc: doc.update(p=True)),
+            ("rank", lambda doc: doc["algebroid"].update(rank=True)),
+            ("rank", lambda doc: doc["module"].update(rank=True)),
+        ],
+    )
+    def test_integer_fields_reject_booleans(self, tmp_path, capsys, field, edit):
+        doc = minimal_doc()
+        edit(doc)
+        assert main(["pcurvature", write_scenario(tmp_path, doc)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: field {field!r} has the wrong type\n"
+
 
 class TestRunScenario:
     def test_descend_crystalline(self):
@@ -192,6 +219,16 @@ class TestGoldenReports:
         )
         assert report.to_json() + "\n" == expected
 
+    @pytest.mark.parametrize(
+        "golden", sorted((SCENARIOS / "expected").glob("*.json")), ids=lambda path: path.stem
+    )
+    def test_matches_committed_report(self, golden):
+        stem, command = golden.stem.split(".")
+        report, _ = run_scenario(
+            str(SCENARIOS / f"{stem}.json"), command, seed=0, trials=20, degree=3
+        )
+        assert report.to_json() + "\n" == golden.read_text(encoding="utf-8")
+
     def test_structured_output_is_deterministic(self):
         a, _ = run_scenario(str(SCENARIOS / "crystalline_1d.json"), "descend", seed=7)
         b, _ = run_scenario(str(SCENARIOS / "crystalline_1d.json"), "descend", seed=7)
@@ -280,6 +317,8 @@ class TestArgumentBounds:
             (["identities", "--n", "-1"], "--n"),
             (["identities", "--n", "0"], "--n"),
             (["identities", "--n", "40", "--trials", "1"], "--n"),
+            (["identities", "--trials", str(MAX_TRIALS + 1)], "--trials"),
+            (["descend", CRYSTALLINE, "--trials", "100000"], "--trials"),
         ],
     )
     def test_bad_value_exits_2_naming_the_flag(self, args, flag):
@@ -295,3 +334,55 @@ class TestArgumentBounds:
             ["identities", "--trials", "1", "--degree-panel", "0", "--n", str(MAX_IDENTITY_COORDINATES)]
         )
         assert (args.trials, args.degree, args.n) == (1, 0, MAX_IDENTITY_COORDINATES)
+        args = _build_parser().parse_args(["validate", "--trials", str(MAX_TRIALS)])
+        assert args.trials == MAX_TRIALS
+
+
+def count_calls(monkeypatch, function, counts):
+    """Count the calls of ``function`` through every binding of it in the
+    pcurv modules, as the benchmark's tracer patches the functions it times."""
+
+    def counted(*args, **kwargs):
+        counts[function.__name__] += 1
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "pcurv" or name.startswith("pcurv."):
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attr, counted)
+
+
+class TestStageCounts:
+    """Each pipeline stage runs once per module and hands its result on: the
+    p-curvature guard reads the module's flatness, the characteristic
+    polynomial reads the p-curvature's commutativity, and trace flatness
+    takes the invariants the pipeline holds.  A rees job has three modules:
+    the family and its two fibers.  A module builds its Weyl algebra at most
+    once, when a check first needs it; the rank-1 fibers never do, since
+    their flatness has no pair of generators to compare."""
+
+    @pytest.mark.parametrize(
+        "stem, command, modules, weyl_builds",
+        [
+            ("crystalline_2d", "descend", 1, 1),
+            ("higgs_rank2", "descend", 1, 1),
+            ("rees_family", "rees", 3, 1),
+        ],
+    )
+    def test_each_stage_runs_once_per_module(
+        self, monkeypatch, stem, command, modules, weyl_builds
+    ):
+        counts = Counter()
+        count_calls(monkeypatch, connection.check_higgs_commutativity, counts)
+        count_calls(monkeypatch, algebroid.tangent_algebroid, counts)
+        tracer = load_tracing().Tracer()
+        tracer.install()
+        try:
+            _, code = run_scenario(str(SCENARIOS / f"{stem}.json"), command)
+        finally:
+            tracer.uninstall()
+        assert code == EXIT_OK
+        traced = ("connection.flatness", "hitchin.charpoly", "hitchin.invariants")
+        assert {name: tracer.stats[name].calls for name in traced} == dict.fromkeys(traced, modules)
+        assert counts == {"check_higgs_commutativity": modules, "tangent_algebroid": weyl_builds}

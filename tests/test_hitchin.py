@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcurv.algebroid import (
     higgs_algebroid,
@@ -8,7 +10,17 @@ from pcurv.algebroid import (
     specialize_t,
     tangent_algebroid,
 )
-from pcurv.connection import ConnectionModule, p_curvature
+from pcurv.connection import (
+    ConnectionModule,
+    PCurvature,
+    mat_add,
+    mat_commutator,
+    mat_is_zero,
+    mat_scalar,
+    mat_scale,
+    mat_trace,
+    p_curvature,
+)
 from pcurv.hitchin import (
     canonical_derivative,
     characteristic_polynomial,
@@ -39,6 +51,24 @@ def higgs_rank2_swap(p=3):
     return ConnectionModule(H, 2, (((R.zero(), R.one()), (x, R.zero())),))
 
 
+@st.composite
+def psi_pairs(draw):
+    """Two 2 x 2 matrices over F_p[x] of degree at most 1: a random pair,
+    or a pair (a, c I + d a) that commutes."""
+    p = draw(st.sampled_from([3, 5]))
+    R = ring(p)
+    entry = st.builds(lambda c, d: R.constant(c) + R.constant(d) * R.variable("x"),
+                      st.integers(0, p - 1), st.integers(0, p - 1))
+    matrix = st.tuples(st.tuples(entry, entry), st.tuples(entry, entry))
+    a = draw(matrix)
+    if draw(st.booleans()):
+        b = draw(matrix)
+    else:
+        c, d = draw(entry), draw(entry)
+        b = mat_add(mat_scalar(c, R.zero(), 2), mat_scale(d, a))
+    return a, b
+
+
 class TestCharPoly:
     def test_scalar(self):
         C = p_curvature(crystalline_scalar())
@@ -56,6 +86,26 @@ class TestCharPoly:
         M = ConnectionModule(tangent_algebroid(R), 1, (((R.zero(),),),))
         cp = characteristic_polynomial(p_curvature(M))
         assert cp.value == cp.ring.variable("lam")
+
+    @settings(max_examples=60, deadline=None)
+    @given(psi_pairs())
+    def test_refuses_non_commuting_psi(self, psi):
+        # psi is set by hand: the guard must look at the matrices it is
+        # given, whatever module and structure they came with
+        R = psi[0][0][0].ring
+        H = higgs_algebroid(R, 2, [[R.zero()] * 2] * 2)
+        zero = mat_scalar(R.zero(), R.zero(), 2)
+        C = PCurvature(ConnectionModule(H, 2, (zero, zero)), H, psi)
+        if mat_is_zero(mat_commutator(*psi)):
+            (e1, _) = hitchin_invariants(C).coefficients
+            assert e1 == {
+                yexp: trace
+                for yexp, trace in (((1, 0), mat_trace(psi[0])), ((0, 1), mat_trace(psi[1])))
+                if not trace.is_zero()
+            }
+        else:
+            with pytest.raises(ValueError, match="do not commute"):
+                characteristic_polynomial(C)
 
 
 class TestInvariants:
@@ -134,13 +184,15 @@ class TestSectionDescent:
 
 class TestTraceFlatness:
     def test_crystalline(self):
-        assert validate_trace_flatness(p_curvature(crystalline_scalar())).passed
+        C = p_curvature(crystalline_scalar())
+        assert validate_trace_flatness(C, hitchin_invariants(C)).passed
 
     def test_anchor_degenerate_flagged(self):
         R = ring(3)
         x = R.variable("x")
         H = higgs_algebroid(R, 1, [[x]])
-        rep = validate_trace_flatness(p_curvature(ConnectionModule(H, 1, (((x,),),))))
+        C = p_curvature(ConnectionModule(H, 1, (((x,),),)))
+        rep = validate_trace_flatness(C, hitchin_invariants(C))
         assert rep.passed
         assert rep.checks[0].details.get("anchor") == "degenerate (all zero)"
 
@@ -148,7 +200,7 @@ class TestTraceFlatness:
         A = rees_algebroid(tangent_algebroid(ring(3)))
         x = A.ring.variable("x")
         C = p_curvature(ConnectionModule(A, 1, (((x * x,),),)))
-        assert validate_trace_flatness(C).passed
+        assert validate_trace_flatness(C, hitchin_invariants(C)).passed
 
 
 class TestDescendInvariants:
@@ -203,7 +255,7 @@ class TestDescendInvariants:
             M = ConnectionModule(A, 1, (((R.variable("x"),),),))
             C = p_curvature(M)
             with pytest.raises(ValueError, match="p > 2"):
-                validate_trace_flatness(C)
+                validate_trace_flatness(C, hitchin_invariants(C))
             with pytest.raises(ValueError, match="p > 2"):
                 descend_invariants(hitchin_invariants(C), A)
 

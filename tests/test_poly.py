@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -45,6 +46,19 @@ def printable_polys(draw):
     R = ring(p, names + ("t",), "t") if draw(st.booleans()) else ring(p, names)
     exponents = st.tuples(*[st.integers(0, 12)] * R.nvars)
     return Poly(R, draw(st.dictionaries(exponents, st.integers(1, p - 1), max_size=8)))
+
+
+@st.composite
+def square_matrices(draw):
+    """A random n x n polynomial matrix, n in 1..4, over F_p[x] or
+    F_p[x, y], with or without a deformation variable t."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    names = ("x", "y")[: draw(st.integers(1, 2))]
+    R = ring(p, names + ("t",), "t") if draw(st.booleans()) else ring(p, names)
+    n = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 2)] * R.nvars)
+    entries = st.dictionaries(exponents, st.integers(1, p - 1), max_size=3)
+    return [[Poly(R, draw(entries)) for _ in range(n)] for _ in range(n)]
 
 
 class TestParse:
@@ -262,6 +276,24 @@ class TestFrobenius:
             g = random_poly(rng, R)
             assert g.frobenius().pth_root() == g
 
+    @settings(max_examples=100, deadline=None)
+    @given(printable_polys())
+    def test_pth_root_inverts_frobenius_random(self, f):
+        assert f.frobenius().pth_root() == f
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(printable_polys(), printable_polys().map(Poly.frobenius)))
+    def test_frobenius_inverts_pth_root_random(self, g):
+        R, p = g.ring, g.ring.p
+        ordinary = R.coordinate_indices()
+        failing = {e for e in g.terms if any(e[j] % p for j in ordinary)}
+        root = g.pth_root()
+        if failing:
+            assert isinstance(root, NotDescendable)
+            assert {e for e, _ in root.offending} == failing
+        else:
+            assert root.frobenius() == g
+
 
 @st.composite
 def split_cases(draw):
@@ -329,23 +361,28 @@ class TestDet:
         assert det(m) == x * x - 2
 
     def test_3x3_against_permutation_oracle(self):
-        import itertools
-
         rng = random.Random(15)
         R = ring(5, ("x", "y"))
         m = [[random_poly(rng, R, 2, 2) for _ in range(3)] for _ in range(3)]
-        total = R.zero()
-        for perm in itertools.permutations(range(3)):
-            sign = 1
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            prod = R.one()
-            for i in range(3):
-                prod = prod * m[i][perm[i]]
-            total = total + (prod if sign > 0 else -prod)
-        assert det(m) == total
+        assert det(m) == leibniz_det(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(square_matrices())
+    def test_against_permutation_expansion_random(self, m):
+        assert det(m) == leibniz_det(m)
+
+
+def leibniz_det(m):
+    """The determinant as the signed sum over permutations (Leibniz)."""
+    n = len(m)
+    total = m[0][0].ring.zero()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        prod = m[0][0].ring.one()
+        for i in range(n):
+            prod = prod * m[i][perm[i]]
+        total = total + (-prod if inversions % 2 else prod)
+    return total
 
 
 class TestResourceLimits:
