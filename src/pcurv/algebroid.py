@@ -34,14 +34,6 @@ from .panels import monomial_panel, random_poly, random_vector
 from .poly import Derivation, Poly, PolyRing, det
 from .report import ValidationReport
 
-def _fresh_name(ring: PolyRing, base: str) -> str:
-    if base not in ring.variables:
-        return base
-    k = 0
-    while f"{base}{k}" in ring.variables:
-        k += 1
-    return f"{base}{k}"
-
 
 @dataclass(frozen=True)
 class AlgebroidPresentation:
@@ -168,8 +160,8 @@ class AlgebroidPresentation:
         over the ring extended by a fresh central variable tau.
         """
         p = self.p
-        tau_name = _fresh_name(self.ring, "tau")
-        big = self.map_to(self.ring.extended(tau_name))
+        big_ring, (tau_name,) = self.ring.adjoin("tau")
+        big = self.map_to(big_ring)
         tau = big.ring.variable(tau_name)
 
         def lift(pair):
@@ -408,18 +400,18 @@ def higgs_algebroid(ring: PolyRing, rank: int, alpha) -> AlgebroidPresentation:
     return AlgebroidPresentation(ring, rank, bracket, anchor, p_op)
 
 
-def rees_algebroid(A: AlgebroidPresentation, variable: str = "t") -> AlgebroidPresentation:
+def rees_algebroid(A: AlgebroidPresentation) -> AlgebroidPresentation:
     """The one-parameter deformation over the ring extended by t: bracket
     and anchor are scaled by t, the p-operation by t^(p-1).  At t = 1 this
     recovers A; at t = 0 the bracket and anchor vanish and the p-operation
     becomes the trivial one."""
     if A.ring.rees_variable is not None:
         raise ValueError("deformation variable already present")
-    if variable in A.ring.variables:
-        raise ValueError(f"variable {variable!r} already used by the ring")
-    big_ring = PolyRing(A.ring.field, A.ring.variables + (variable,), variable)
+    if "t" in A.ring.variables:
+        raise ValueError("variable 't' already used by the ring")
+    big_ring = PolyRing(A.ring.field, A.ring.variables + ("t",), "t")
     big = A.map_to(big_ring)
-    t = big_ring.variable(variable)
+    t = big_ring.variable("t")
     bracket = tuple(
         tuple(tuple(t * c for c in vec) for vec in table) for table in big.bracket
     )

@@ -163,13 +163,16 @@ class Report:
 # -- scenario loading ---------------------------------------------------------
 
 
-def _require(doc: dict, key: str, kind=None):
+def _require(doc: dict, path: str, kind=None):
+    """The field named by the last part of ``path`` (``module.rank``);
+    errors name the whole path."""
+    key = path.rpartition(".")[2]
     if key not in doc:
-        raise ScenarioError(f"missing field {key!r}")
+        raise ScenarioError(f"missing field {path!r}")
     value = doc[key]
     # the exact type: JSON true and false load as bool, a subclass of int
     if kind is not None and type(value) is not kind:
-        raise ScenarioError(f"field {key!r} has the wrong type")
+        raise ScenarioError(f"field {path!r} has the wrong type")
     return value
 
 
@@ -223,13 +226,13 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(str(err)) from err
 
     block = _require(doc, "algebroid", dict)
-    rank = _require(block, "rank", int)
+    rank = _require(block, "algebroid.rank", int)
     if rank < 1:
         raise ScenarioError("algebroid rank must be positive")
-    bracket = _parse_array(_require(block, "bracket"), ring, (rank, rank, rank), "bracket")
-    anchor_rows = _parse_array(_require(block, "anchor"), ring, (rank, ring.nvars), "anchor")
+    bracket = _parse_array(_require(block, "algebroid.bracket"), ring, (rank, rank, rank), "bracket")
+    anchor_rows = _parse_array(_require(block, "algebroid.anchor"), ring, (rank, ring.nvars), "anchor")
     anchors = tuple(Derivation(ring, row) for row in anchor_rows)
-    p_op = _parse_array(_require(block, "p_op"), ring, (rank, rank), "p_op")
+    p_op = _parse_array(_require(block, "algebroid.p_op"), ring, (rank, rank), "p_op")
     try:
         algebroid = AlgebroidPresentation(ring, rank, bracket, anchors, p_op)
         if rees:
@@ -240,7 +243,7 @@ def load_scenario(path: str) -> Scenario:
     structure = algebroid
     if "shift" in doc:
         shift_block = _require(doc, "shift", dict)
-        phi = _parse_array(_require(shift_block, "phi"), algebroid.ring, (rank,), "shift.phi")
+        phi = _parse_array(_require(shift_block, "shift.phi"), algebroid.ring, (rank,), "shift.phi")
         try:
             structure = shift_p_structure(algebroid, phi)
         except ValueError as err:
@@ -249,11 +252,11 @@ def load_scenario(path: str) -> Scenario:
     module = None
     if "module" in doc:
         mod = _require(doc, "module", dict)
-        r = _require(mod, "rank", int)
+        r = _require(mod, "module.rank", int)
         if r < 1:
             raise ScenarioError("module rank must be positive")
         matrices = _parse_array(
-            _require(mod, "matrices"), algebroid.ring, (rank, r, r), "module.matrices"
+            _require(mod, "module.matrices"), algebroid.ring, (rank, r, r), "module.matrices"
         )
         try:
             module = ConnectionModule(algebroid, r, matrices)

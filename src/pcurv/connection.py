@@ -54,7 +54,7 @@ from functools import cached_property, reduce
 from operator import add, mul
 
 from . import operators as ops
-from .algebroid import AlgebroidPresentation, PStructureShift, tangent_algebroid
+from .algebroid import AlgebroidPresentation, tangent_algebroid
 from .poly import Poly, PolyRing, power
 from .report import ValidationReport
 
@@ -332,15 +332,17 @@ def _constant_action(M: ConnectionModule, f: Poly, coeffs):
     return out
 
 
-def _katz_psi(M: ConnectionModule, coeffs, target: ops.OperatorElement):
-    """psi(D) = (nabla_D)^p - nabla_{D^[p]} for D = sum_k g_k e_k, where
-    ``target`` is D^[p] = f + sum_k h_k e_k.
+def _katz_psi(M: ConnectionModule, coeffs, structure):
+    """psi(D) = (nabla_D)^p - nabla_{D^[p]} for D = sum_k g_k e_k, with
+    D^[p] = f + sum_k h_k e_k read from ``structure`` by
+    :func:`~pcurv.operators.p_operation_lambda1`.
 
     Returns the matrix X_p - (f I + sum_k h_k A_k) of the recurrence
     X_1 = B, X_{k+1} = delta_D(X_k) + B . X_k with B = sum_k g_k A_k, and
     the derivation delta_D^p - anchor(h), the differential part of psi(D)
     (zero exactly when psi(D) is O_X-linear)."""
     A = M.algebroid
+    target = ops.p_operation_lambda1(structure, ops.from_h_element(A, coeffs))
     f, h = target.lambda1_parts()
     delta = A.anchor_of(coeffs)
     B = _constant_action(M, M.ring.zero(), coeffs)
@@ -370,11 +372,7 @@ def p_curvature(M: ConnectionModule, structure=None) -> PCurvature:
         raise ValueError("module is not flat")
     psi = []
     for a in range(A.rank):
-        if isinstance(structure, PStructureShift):
-            target = structure.shifted_p_op(a)
-        else:
-            target = ops.from_h_element(A, A.p_op[a])
-        matrix, residue = _katz_psi(M, A.h_basis(a), target)
+        matrix, residue = _katz_psi(M, A.h_basis(a), structure)
         if not residue.is_zero():
             raise ValueError(
                 f"p-curvature of e{a + 1} has a differential part of order 1: {residue}"
@@ -414,9 +412,7 @@ def check_p_linearity(C: PCurvature, panel) -> ValidationReport:
     bad = []
     for f in panel:
         for a in range(A.rank):
-            coeffs = A.h_scale(f, A.h_basis(a))
-            target = ops.p_operation_lambda1(C.structure, ops.from_h_element(A, coeffs))
-            matrix, residue = _katz_psi(M, coeffs, target)
+            matrix, residue = _katz_psi(M, A.h_scale(f, A.h_basis(a)), C.structure)
             if not residue.is_zero():
                 bad.append(f"f={f}, e{a + 1}: positive order")
             elif matrix != mat_scale(f**p, C.psi[a]):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebroid import AlgebroidPresentation, anchor_generic_surjectivity, _fresh_name
+from .algebroid import AlgebroidPresentation, anchor_generic_surjectivity
 from .connection import (
     PCurvature,
     mat_map,
@@ -87,12 +87,7 @@ def characteristic_polynomial(C: PCurvature) -> CharPoly:
     checked, not assumed)."""
     if not C.commutativity.passed:
         raise ValueError("p-curvature matrices do not commute")
-    base = C.ring
-    duals = []
-    for a in range(C.algebroid.rank):
-        duals.append(_fresh_name(base.extended(*duals), f"y{a + 1}"))
-    lam = _fresh_name(base.extended(*duals), "lam")
-    ext = base.extended(*duals, lam)
+    ext, (*duals, lam) = C.ring.adjoin(*(f"y{a + 1}" for a in range(C.algebroid.rank)), "lam")
     matrix = mat_scalar(ext.variable(lam), ext.zero(), C.module.rank)
     for y, psi in zip(duals, C.psi):
         lifted = mat_map(lambda c: c.map_to(ext), psi)

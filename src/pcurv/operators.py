@@ -152,11 +152,19 @@ class OperatorElement:
                 coeffs[beta.index(1)] = f
         return self.function_part(), tuple(coeffs)
 
-    def top_symbol(self) -> "SymbolElement":
-        """The image in the top graded piece Sym^k(H), k the filtration degree."""
+    def top_symbol(self) -> Poly:
+        """The image in the top graded piece Sym^k(H), k the filtration
+        degree: a homogeneous polynomial of degree k in symbol variables
+        e1, ..., em adjoined to the ring."""
+        A = self.algebroid
         k = max(self.degree(), 0)
-        terms = {b: f for b, f in self.terms.items() if sum(b) == k}
-        return SymbolElement(self.algebroid, k, terms)
+        ring, _ = A.ring.adjoin(*(f"e{a + 1}" for a in range(A.rank)))
+        lift = (0,) * A.ring.nvars
+        out = ring.zero()
+        for beta, f in self.terms.items():
+            if sum(beta) == k:
+                out = out + f.map_to(ring) * ring.monomial(lift + beta)
+        return out
 
     def is_central(self) -> bool:
         """True iff the element commutes with all ring variables and all
@@ -177,57 +185,6 @@ class OperatorElement:
 
     def __repr__(self):
         return f"OperatorElement({self})"
-
-
-class SymbolElement:
-    """A homogeneous element of Sym^k(H): commutative monomials in the
-    generator symbols with polynomial coefficients."""
-
-    __slots__ = ("algebroid", "sym_degree", "terms")
-
-    def __init__(self, algebroid, sym_degree: int, terms: dict):
-        self.algebroid = algebroid
-        self.sym_degree = sym_degree
-        self.terms = terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, SymbolElement):
-            return NotImplemented
-        return (
-            self.algebroid == other.algebroid
-            and self.sym_degree == other.sym_degree
-            and self.terms == other.terms
-        )
-
-    def __mul__(self, other):
-        if self.algebroid != other.algebroid:
-            raise ValueError("symbols over different algebroids")
-        out: dict = {}
-        for ba, fa in self.terms.items():
-            for bb, fb in other.terms.items():
-                b = tuple(i + j for i, j in zip(ba, bb))
-                f = fa * fb
-                s = out.get(b)
-                s = f if s is None else s + f
-                if s.is_zero():
-                    out.pop(b, None)
-                else:
-                    out[b] = s
-        return SymbolElement(self.algebroid, self.sym_degree + other.sym_degree, out)
-
-    def __pow__(self, k: int):
-        A = self.algebroid
-        return power(self, k, SymbolElement(A, 0, {(0,) * A.rank: A.ring.one()}))
-
-    def __str__(self):
-        op = OperatorElement(self.algebroid, self.terms)
-        return str(op)
-
-    def __repr__(self):
-        return f"SymbolElement(degree {self.sym_degree}: {self})"
 
 
 # -- constructors ---------------------------------------------------------------
@@ -390,8 +347,8 @@ def check_enveloping_p_structure(structure, *, trials=10, seed=0, max_degree=3) 
     p = A.p
     rng = _random.Random(seed)
 
-    def rand_h(max_terms=2):
-        return random_vector(rng, A.ring, A.rank, max_degree, max_terms)
+    def rand_h():
+        return random_vector(rng, A.ring, A.rank, max_degree)
 
     def rand_lambda1():
         return from_lambda1(A, random_poly(rng, A.ring, max_degree, 2), rand_h())

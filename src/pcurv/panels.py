@@ -53,9 +53,5 @@ def random_vector(rng, ring, length, max_degree=3, max_terms=2):
     return tuple(random_poly(rng, ring, max_degree, max_terms) for _ in range(length))
 
 
-def random_matrix(rng, ring, rows, cols=None, max_degree=2, max_terms=2):
-    cols = rows if cols is None else cols
-    return tuple(
-        tuple(random_poly(rng, ring, max_degree, max_terms) for _ in range(cols))
-        for _ in range(rows)
-    )
+def random_matrix(rng, ring, rows, max_degree=2, max_terms=2):
+    return tuple(random_vector(rng, ring, rows, max_degree, max_terms) for _ in range(rows))

@@ -206,12 +206,18 @@ class PolyRing:
             return Poly(self, {})
         return Poly(self, {exponents: c})
 
-    def extended(self, *new_names: str) -> "PolyRing":
-        """A ring with additional variables (appended after the existing ones)."""
-        for name in new_names:
-            if name in self.variables:
-                raise ValueError(f"variable {name!r} already present")
-        return PolyRing(self.field, self.variables + tuple(new_names), self.rees_variable)
+    def adjoin(self, *bases: str) -> tuple["PolyRing", tuple[str, ...]]:
+        """The ring with one fresh variable per base name appended, and the
+        names chosen: each base itself if it is not taken yet, else the
+        first of base0, base1, ... that is not."""
+        names = list(self.variables)
+        for base in bases:
+            name, k = base, 0
+            while name in names:
+                name, k = f"{base}{k}", k + 1
+            names.append(name)
+        ring = PolyRing(self.field, tuple(names), self.rees_variable)
+        return ring, tuple(names[self.nvars :])
 
     def without(self, *names: str) -> "PolyRing":
         """The ring with the named variables removed; the deformation flag

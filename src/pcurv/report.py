@@ -44,13 +44,6 @@ class ValidationReport:
     def failures(self):
         return [c for c in self.checks if not c.passed]
 
-    def to_dict(self) -> dict:
-        return {
-            "title": self.title,
-            "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
-
     def render_text(self) -> str:
         lines = [f"== {self.title}: {'PASS' if self.passed else 'FAIL'} =="]
         width = max((len(c.name) for c in self.checks), default=0)

@@ -118,8 +118,8 @@ class TestLoading:
         [
             ("schema_version", lambda doc: doc.update(schema_version=True)),
             ("p", lambda doc: doc.update(p=True)),
-            ("rank", lambda doc: doc["algebroid"].update(rank=True)),
-            ("rank", lambda doc: doc["module"].update(rank=True)),
+            ("algebroid.rank", lambda doc: doc["algebroid"].update(rank=True)),
+            ("module.rank", lambda doc: doc["module"].update(rank=True)),
         ],
     )
     def test_integer_fields_reject_booleans(self, tmp_path, capsys, field, edit):

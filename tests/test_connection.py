@@ -20,6 +20,7 @@ from pcurv.connection import (
     mat_mul,
     mat_pow,
     mat_scale,
+    mat_sub,
     p_curvature,
     represent_operator,
     validate_flatness,
@@ -288,6 +289,63 @@ class TestKatzAgainstOracle:
     def test_commuting_constant_pairs(self, M):
         assert validate_flatness(M).passed
         assert check_abstract_action_oracle(p_curvature(M)).passed
+
+
+@st.composite
+def shifted_line_modules(draw):
+    """A line module with e1^[p] shifted by a random phi in F_p[x^p]."""
+    M = draw(line_modules())
+    R, p = M.ring, M.ring.p
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2))
+    phi = sum((R.monomial((p * e,), c) for e, c in enumerate(coeffs)), R.zero())
+    return M, phi
+
+
+@st.composite
+def shifted_higgs_modules(draw):
+    """A rank <= 2 module over a two-field Higgs algebroid on the line, with
+    commuting fields (B, g B + h I) and degree-one shift values
+    f_a + sum_k g_ak e_k (every such element is central there)."""
+    p = draw(st.sampled_from([3, 5]))
+    R = ring(p)
+    linear = st.lists(st.integers(0, p - 1), min_size=2, max_size=2).map(
+        lambda cs: R.monomial((1,), cs[0]) + R.constant(cs[1])
+    )
+    r = draw(st.integers(1, 2))
+    H = higgs_algebroid(R, 2, [[draw(linear) for _ in range(2)] for _ in range(2)])
+    B = tuple(tuple(draw(linear) for _ in range(r)) for _ in range(r))
+    second = mat_add(mat_scale(draw(linear), B), mat_scale(draw(linear), identity_matrix(R, r)))
+    M = ConnectionModule(H, r, (B, second))
+    phi = [(draw(linear), (draw(linear), draw(linear))) for _ in range(2)]
+    return M, phi
+
+
+class TestKatzAgainstOracleShifted:
+    @settings(max_examples=30, deadline=None)
+    @given(shifted_line_modules())
+    def test_line_modules_with_pth_power_shift(self, case):
+        M, phi = case
+        C = p_curvature(M, shift_p_structure(M.algebroid, [phi]))
+        assert check_abstract_action_oracle(C).passed
+        assert check_p_linearity(C, poly_panel(M.ring, 1, max_degree=1)).passed
+        shift = mat_scale(phi, identity_matrix(M.ring, M.rank))
+        assert C.psi[0] == mat_sub(p_curvature(M).psi[0], shift)
+
+    @settings(max_examples=30, deadline=None)
+    @given(shifted_higgs_modules())
+    def test_higgs_modules_with_degree_one_shift(self, case):
+        M, phi = case
+        H = M.algebroid
+        values = [ops.from_lambda1(H, f, g) for f, g in phi]
+        C = p_curvature(M, shift_p_structure(H, values))
+        assert check_abstract_action_oracle(C).passed
+        assert check_p_linearity(C, poly_panel(M.ring, 1, max_degree=1)).passed
+        for psi, plain, (f, g) in zip(C.psi, p_curvature(M).psi, phi):
+            # phi_a acts on the module as f_a I + sum_k g_ak A_k
+            action = mat_scale(f, identity_matrix(M.ring, M.rank))
+            for g_k, matrix in zip(g, M.matrices):
+                action = mat_add(action, mat_scale(g_k, matrix))
+            assert psi == mat_sub(plain, action)
 
 
 class TestRepresentOperator:

@@ -1,11 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcurv import operators as ops
-from pcurv.algebroid import higgs_algebroid, shift_p_structure, tangent_algebroid
+from pcurv.algebroid import (
+    AlgebroidPresentation,
+    higgs_algebroid,
+    shift_p_structure,
+    tangent_algebroid,
+    validate_algebroid,
+    validate_p_structure,
+)
 from pcurv.panels import random_poly, random_vector
-from pcurv.poly import PolyRing, PrimeField, parse_poly
+from pcurv.poly import Derivation, Poly, PolyRing, PrimeField, parse_poly
 
 
 def ring(p, names=("x",)):
@@ -216,14 +225,14 @@ class TestTopSymbol:
         A = weyl(3)
         xd = ops.from_poly(A, A.ring.variable("x")) * ops.generator(A, 0)
         sym = (xd + ops.one(A)).top_symbol()
-        assert sym.sym_degree == 1
-        assert sym.terms == {(1,): A.ring.variable("x")}
+        assert sym.ring.variables == ("x", "e1")
+        assert sym == parse_poly("x*e1", sym.ring)
 
     def test_degree_zero(self):
         A = weyl(3)
         f = parse_poly("x^2 + 1", A.ring)
         sym = ops.from_poly(A, f).top_symbol()
-        assert sym.sym_degree == 0 and sym.terms == {(0,): f}
+        assert sym == f.map_to(sym.ring)
 
 
 class TestEnvelopingBattery:
@@ -255,3 +264,63 @@ class TestEnvelopingBattery:
         # both the ad-axiom and the centrality of p-curvature elements fire
         assert "ad_axiom_on_degree_one" in failing
         assert "p_curvature_element_central" in failing
+
+
+def affine_algebroid(p):
+    """e1 = d/dx and e2 = x d/dx over F_p[x]: [e1, e2] = e1, e1^[p] = 0 and
+    e2^[p] = e2.  Its bracket is not zero, so normal forms go through the
+    bracket rewrite e2 e1 -> e1 e2 - e1."""
+    R = ring(p)
+    zero, one = R.zero(), R.one()
+    bracket = (((zero, zero), (one, zero)), ((-one, zero), (zero, zero)))
+    anchor = (Derivation(R, (one,)), Derivation(R, (R.variable("x"),)))
+    return AlgebroidPresentation(R, 2, bracket, anchor, ((zero, zero), (zero, one)))
+
+
+AFFINE = {p: affine_algebroid(p) for p in (3, 5)}
+
+
+@st.composite
+def affine_operators(draw):
+    """Three elements of filtration degree <= 2 over the same affine
+    algebroid, with coefficients of degree <= 2 in x."""
+    A = AFFINE[draw(st.sampled_from(sorted(AFFINE)))]
+    coeff = st.dictionaries(
+        st.tuples(st.integers(0, 2)), st.integers(1, A.p - 1), min_size=1, max_size=2
+    )
+    betas = [(i, j) for i in range(3) for j in range(3 - i)]
+
+    def element():
+        support = draw(st.sets(st.sampled_from(betas), min_size=1, max_size=3))
+        return ops.OperatorElement(A, {beta: Poly(A.ring, draw(coeff)) for beta in support})
+
+    return element(), element(), element()
+
+
+class TestNonAbelianPresentation:
+    @pytest.mark.parametrize("p", sorted(AFFINE))
+    def test_presentation_is_valid(self, p):
+        A = AFFINE[p]
+        assert validate_algebroid(A).passed
+        assert validate_p_structure(A).passed
+        assert ops.check_enveloping_p_structure(A, trials=3).passed
+
+    def test_bracket_rewrite(self):
+        A = AFFINE[3]
+        e1, e2 = ops.generator(A, 0), ops.generator(A, 1)
+        assert e2 * e1 == e1 * e2 - e1
+        assert str(e2 * e1) == "e1*e2 + 2*e1"
+
+    @settings(max_examples=40, deadline=None)
+    @given(affine_operators())
+    def test_pbw_associativity(self, elements):
+        a, b, c = elements
+        assert (a * b) * c == a * (b * c)
+
+    @settings(max_examples=40, deadline=None)
+    @given(affine_operators())
+    def test_top_symbol_is_multiplicative(self, elements):
+        a, b, _ = elements
+        # gr of the enveloping algebra is the polynomial ring F_p[x][e1, e2],
+        # a domain, so the symbol of a product never drops
+        assert (a * b).top_symbol() == a.top_symbol() * b.top_symbol()

@@ -348,9 +348,16 @@ class TestSubstitution:
 
     def test_map_to_extension(self):
         R = ring(3)
-        big = R.extended("tau")
+        big, names = R.adjoin("tau")
+        assert names == ("tau",) and big.variables == ("x", "tau")
         f = parse_poly("x^2 + 1", R)
         assert f.map_to(big) == parse_poly("x^2 + 1", big)
+
+    def test_adjoin_picks_fresh_names(self):
+        R = ring(3, ("y1", "lam", "lam0"))
+        big, names = R.adjoin("y1", "y2", "y1", "lam")
+        assert names == ("y10", "y2", "y11", "lam1")
+        assert big.variables == R.variables + names
 
 
 class TestDet:
