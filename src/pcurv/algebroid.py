@@ -30,7 +30,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .panels import monomial_panel, random_poly, random_vector
+from .panels import poly_panel, random_poly, random_vector
 from .poly import Derivation, Poly, PolyRing, det
 from .report import ValidationReport
 
@@ -248,7 +248,6 @@ def validate_algebroid(A: AlgebroidPresentation, *, trials=10, seed=0, max_degre
     """
     rep = ValidationReport(f"algebroid axioms: {A}")
     m = A.rank
-    rng = random.Random(seed)
 
     bad = []
     for a in range(m):
@@ -257,7 +256,7 @@ def validate_algebroid(A: AlgebroidPresentation, *, trials=10, seed=0, max_degre
                 want = -A.bracket[b][a][k] if a != b else A.ring.zero()
                 if A.bracket[a][b][k] != want:
                     bad.append(f"[e{a + 1},e{b + 1}] component {k + 1}")
-    rep.add("antisymmetry", not bad, witness="; ".join(bad) or None, pairs=m * m)
+    rep.check("antisymmetry", bad, pairs=m * m)
 
     bad = []
     for a in range(m):
@@ -269,10 +268,9 @@ def validate_algebroid(A: AlgebroidPresentation, *, trials=10, seed=0, max_degre
                 total = A.h_add(total, A.h_bracket(ec, A.h_bracket(ea, eb)))
                 if not A.h_is_zero(total):
                     bad.append(f"(e{a + 1},e{b + 1},e{c + 1})")
-    rep.add("jacobi", not bad, witness="; ".join(bad) or None)
+    rep.check("jacobi", bad)
 
-    panel = monomial_panel(A.ring, max_degree)
-    panel += [random_poly(rng, A.ring, max_degree) for _ in range(trials)]
+    panel = poly_panel(A.ring, trials, seed=seed, max_degree=max_degree)
     bad = []
     for a in range(m):
         for b in range(m):
@@ -285,16 +283,14 @@ def validate_algebroid(A: AlgebroidPresentation, *, trials=10, seed=0, max_degre
                 )
                 if lhs != rhs:
                     bad.append(f"[e{a + 1}, ({f})*e{b + 1}]")
-    rep.add("leibniz", not bad, witness="; ".join(bad[:3]) or None, panel=len(panel))
+    rep.check("leibniz", bad, shown=3, panel=len(panel))
 
-    bad = []
-    for a in range(m):
-        for b in range(m):
-            lhs = A.anchor_of(A.bracket[a][b])
-            rhs = A.anchor[a].commutator(A.anchor[b])
-            if lhs != rhs:
-                bad.append(f"(e{a + 1},e{b + 1})")
-    rep.add("anchor_bracket_compatibility", not bad, witness="; ".join(bad) or None)
+    bad = [
+        f"(e{a + 1},e{b + 1})"
+        for a, b in itertools.product(range(m), repeat=2)
+        if A.anchor_of(A.bracket[a][b]) != A.anchor[a].commutator(A.anchor[b])
+    ]
+    rep.check("anchor_bracket_compatibility", bad)
     return rep
 
 
@@ -317,10 +313,9 @@ def validate_p_structure(A: AlgebroidPresentation, *, trials=10, seed=0, max_deg
             rhs = A.h_ad_iter(A.h_basis(a), A.h_basis(b), p)
             if lhs != rhs:
                 bad.append(f"ad(e{a + 1}^[p])(e{b + 1})")
-    rep.add("ad_axiom_on_basis", not bad, witness="; ".join(bad) or None)
+    rep.check("ad_axiom_on_basis", bad)
 
-    bad = []
-    for _ in range(trials):
+    def additivity_with_lie_polynomials():
         d1 = random_vector(rng, A.ring, m, max_degree)
         d2 = random_vector(rng, A.ring, m, max_degree)
         lhs = A.p_operation(A.h_add(d1, d2))
@@ -328,43 +323,33 @@ def validate_p_structure(A: AlgebroidPresentation, *, trials=10, seed=0, max_deg
         for _, s in A.lie_polynomials((A.ring.zero(), d1), (A.ring.zero(), d2)):
             rhs = A.h_add(rhs, s)
         if lhs != rhs:
-            bad.append(f"D1=({', '.join(map(str, d1))}), D2=({', '.join(map(str, d2))})")
-    rep.add("additivity_with_lie_polynomials", not bad, witness="; ".join(bad[:1]) or None, trials=trials)
+            return f"D1=({', '.join(map(str, d1))}), D2=({', '.join(map(str, d2))})"
 
-    bad = []
-    for _ in range(trials):
+    def function_multiple_rule():
         f = random_poly(rng, A.ring, max_degree)
         D = random_vector(rng, A.ring, m, max_degree)
         lhs = A.p_operation(A.h_scale(f, D))
         correction = A.anchor_of(A.h_scale(f, D)).apply_iter(f, p - 1)
         rhs = A.h_add(A.h_scale(f**p, A.p_operation(D)), A.h_scale(correction, D))
         if lhs != rhs:
-            bad.append(f"f={f}, D=({', '.join(map(str, D))})")
-    rep.add("function_multiple_rule", not bad, witness="; ".join(bad[:1]) or None, trials=trials)
+            return f"f={f}, D=({', '.join(map(str, D))})"
 
     # (f delta_D)^{p-1}(f) = -f delta_D^{p-1}(f^{p-1}): the sign is
     # (p-1)! = -1 by Wilson's theorem.
-    bad = []
-    for _ in range(trials):
+    def iterated_anchor_identity():
         f = random_poly(rng, A.ring, max_degree)
         D = random_vector(rng, A.ring, m, max_degree)
         nu = A.anchor_of(D)
-        lhs = nu.scale(f).apply_iter(f, p - 1)
-        rhs = -(f * nu.apply_iter(f ** (p - 1), p - 1))
-        if lhs != rhs:
-            bad.append(f"f={f}, D=({', '.join(map(str, D))})")
-    rep.add("iterated_anchor_identity", not bad, witness="; ".join(bad[:1]) or None, trials=trials)
+        if nu.scale(f).apply_iter(f, p - 1) != -(f * nu.apply_iter(f ** (p - 1), p - 1)):
+            return f"f={f}, D=({', '.join(map(str, D))})"
 
-    bad = []
-    for a in range(m):
-        if A.anchor_of(A.p_op[a]) != A.anchor[a].pth_power():
-            bad.append(f"e{a + 1}")
-    rep.add(
-        "anchor_restricted_compatibility",
-        not bad,
-        section="anchor_compatibility",
-        witness="; ".join(bad) or None,
+    rep.run_cases(
+        [additivity_with_lie_polynomials, function_multiple_rule, iterated_anchor_identity],
+        trials,
     )
+
+    bad = [f"e{a + 1}" for a in range(m) if A.anchor_of(A.p_op[a]) != A.anchor[a].pth_power()]
+    rep.check("anchor_restricted_compatibility", bad, section="anchor_compatibility")
     return rep
 
 

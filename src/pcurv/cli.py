@@ -14,7 +14,7 @@ a module block, a p-structure shift, and an expectation marker.  Commands:
 
 The algebroid tables, the shift values and the module matrices are all
 read by one shape-checked parser; a wrong shape or a bad entry is reported
-with its position (``bracket[0][1]``, ``module.matrices[0][0][1]``).
+with its position (``algebroid.bracket[0][1]``, ``module.matrices[0][0][1]``).
 
 Exit status: 0 all checks passed (or an expected failure occurred),
 1 a mathematical check failed, 2 the input was unusable or exceeded the
@@ -35,7 +35,7 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import operators as ops
 from .algebroid import (
@@ -65,9 +65,8 @@ from .poly import (
     PrimeField,
     ResourceLimitError,
     parse_poly,
-    render_monomial,
 )
-from .report import CheckResult, ValidationReport
+from .report import ValidationReport
 
 SCHEMA_VERSION = 1
 
@@ -100,35 +99,24 @@ class Scenario:
     module: ConnectionModule | None
 
 
-@dataclass
-class Report:
-    scenario: str
+@dataclass(kw_only=True)
+class Report(ValidationReport):
+    """The checks of one command run, each stage's merged under a group
+    prefix, with the run parameters and the computed data; the title is
+    the scenario name."""
+
     command: str
     seed: int
     trials: int
     degree: int
-    checks: list = field(default_factory=list)
     data: dict = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
     def merge(self, group: str, validation: ValidationReport):
-        for c in validation.checks:
-            self.checks.append(
-                CheckResult(
-                    f"{group}.{c.name}", c.passed, section=c.section,
-                    witness=c.witness, details=c.details,
-                )
-            )
-
-    def add(self, name, passed, witness=None, **details):
-        self.checks.append(CheckResult(name, bool(passed), witness=witness, details=details))
+        self.checks.extend(replace(c, name=f"{group}.{c.name}") for c in validation.checks)
 
     def to_dict(self) -> dict:
         return {
-            "scenario": self.scenario,
+            "scenario": self.title,
             "command": self.command,
             "seed": self.seed,
             "trials": self.trials,
@@ -142,7 +130,7 @@ class Report:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def render_text(self, elapsed=None) -> str:
-        head = f"scenario {self.scenario} | {self.command}: "
+        head = f"scenario {self.title} | {self.command}: "
         head += "PASS" if self.passed else "FAIL"
         if elapsed is not None:
             head += f"  ({elapsed:.2f}s)"
@@ -199,6 +187,12 @@ def _parse_array(value, ring: PolyRing, shape, where: str):
     )
 
 
+def _require_array(doc: dict, path: str, ring: PolyRing, shape):
+    """The nested-list field at ``path``, parsed; every error names the path
+    (``algebroid.bracket[0][1]``)."""
+    return _parse_array(_require(doc, path), ring, shape, path)
+
+
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -229,10 +223,10 @@ def load_scenario(path: str) -> Scenario:
     rank = _require(block, "algebroid.rank", int)
     if rank < 1:
         raise ScenarioError("algebroid rank must be positive")
-    bracket = _parse_array(_require(block, "algebroid.bracket"), ring, (rank, rank, rank), "bracket")
-    anchor_rows = _parse_array(_require(block, "algebroid.anchor"), ring, (rank, ring.nvars), "anchor")
+    bracket = _require_array(block, "algebroid.bracket", ring, (rank, rank, rank))
+    anchor_rows = _require_array(block, "algebroid.anchor", ring, (rank, ring.nvars))
     anchors = tuple(Derivation(ring, row) for row in anchor_rows)
-    p_op = _parse_array(_require(block, "algebroid.p_op"), ring, (rank, rank), "p_op")
+    p_op = _require_array(block, "algebroid.p_op", ring, (rank, rank))
     try:
         algebroid = AlgebroidPresentation(ring, rank, bracket, anchors, p_op)
         if rees:
@@ -243,7 +237,7 @@ def load_scenario(path: str) -> Scenario:
     structure = algebroid
     if "shift" in doc:
         shift_block = _require(doc, "shift", dict)
-        phi = _parse_array(_require(shift_block, "shift.phi"), algebroid.ring, (rank,), "shift.phi")
+        phi = _require_array(shift_block, "shift.phi", algebroid.ring, (rank,))
         try:
             structure = shift_p_structure(algebroid, phi)
         except ValueError as err:
@@ -255,9 +249,7 @@ def load_scenario(path: str) -> Scenario:
         r = _require(mod, "module.rank", int)
         if r < 1:
             raise ScenarioError("module rank must be positive")
-        matrices = _parse_array(
-            _require(mod, "module.matrices"), algebroid.ring, (rank, r, r), "module.matrices"
-        )
+        matrices = _require_array(mod, "module.matrices", algebroid.ring, (rank, r, r))
         try:
             module = ConnectionModule(algebroid, r, matrices)
         except ValueError as err:
@@ -275,10 +267,6 @@ def load_scenario(path: str) -> Scenario:
 
 
 # -- helpers ------------------------------------------------------------------
-
-
-def _mono_str(yexp) -> str:
-    return render_monomial([f"y{a + 1}" for a in range(len(yexp))], yexp) or "1"
 
 
 def _require_module(scenario: Scenario):
@@ -347,7 +335,7 @@ def _run_descend(scenario, rep, seed, trials, degree):
     descent = descend_invariants(invariants, scenario.algebroid)
     table = {}
     for k, yexp, value in descent.entries:
-        key = f"e{k}@{_mono_str(yexp)}"
+        key = f"e{k}@{invariants.monomial(yexp)}"
         if isinstance(value, NotDescendable):
             table[key] = {"not_descendable": value.witness()}
         else:
@@ -362,12 +350,12 @@ def _run_descend(scenario, rep, seed, trials, degree):
             witness=None if not descent.all_descend else "every coefficient descended",
         )
     else:
-        witness = "; ".join(
-            f"e{k}@{_mono_str(yexp)}: {v.witness()}" for k, yexp, v in descent.witnesses()
-        )
-        rep.add("descent.all_coefficients_descend", descent.all_descend, witness=witness or None)
+        failures = [
+            f"e{k}@{invariants.monomial(yexp)}: {v.witness()}" for k, yexp, v in descent.witnesses()
+        ]
+        rep.check("descent.all_coefficients_descend", failures)
         if descent.anchor_surjective:
-            rep.add("descent.theorem_contract", descent.all_descend, witness=witness or None)
+            rep.check("descent.theorem_contract", failures)
 
 
 def _run_rees(scenario, rep, seed, trials, degree):
@@ -380,12 +368,8 @@ def _run_rees(scenario, rep, seed, trials, degree):
     if invariants is None:
         return
     descent = descend_invariants(invariants, scenario.algebroid)
-    rep.add(
-        "rees.family_descends",
-        descent.all_descend,
-        witness="; ".join(v.witness() for _, _, v in descent.witnesses()) or None,
-    )
-    family = {f"e{k}@{_mono_str(yexp)}": v for k, yexp, v in descent.descended()}
+    rep.check("rees.family_descends", [v.witness() for _, _, v in descent.witnesses()])
+    family = {f"e{k}@{invariants.monomial(yexp)}": v for k, yexp, v in descent.descended()}
     rep.data["descended_family"] = {key: str(v) for key, v in family.items()}
 
     t_name = scenario.algebroid.ring.rees_variable
@@ -411,7 +395,8 @@ def _run_rees(scenario, rep, seed, trials, degree):
             f"fiber: {sorted(str(kv) for kv in fiber_table.items())}",
         )
         rep.data[label] = {
-            f"e{k}@{_mono_str(yexp)}": str(v) for (k, yexp), v in sorted(fiber_table.items())
+            f"e{k}@{fiber_invariants.monomial(yexp)}": str(v)
+            for (k, yexp), v in sorted(fiber_table.items())
         }
 
 
@@ -430,7 +415,7 @@ def run_scenario(path: str, command: str, *, seed=0, trials=20, degree=3):
     scenario = load_scenario(path)
     if command not in PIPELINES:
         raise ScenarioError(f"unknown command {command!r}")
-    rep = Report(scenario.name, command, seed, trials, degree)
+    rep = Report(scenario.name, command=command, seed=seed, trials=trials, degree=degree)
     PIPELINES[command](scenario, rep, seed, trials, degree)
     return rep, (EXIT_OK if rep.passed else EXIT_MATH_FAILURE)
 
@@ -438,7 +423,7 @@ def run_scenario(path: str, command: str, *, seed=0, trials=20, degree=3):
 def identity_suite(p: int, n: int, *, seed=0, trials=50, degree=3) -> Report:
     """The full identity battery over the tangent algebroid on n coordinates."""
     names = ("x", "y", "z")[:n] if n <= 3 else tuple(f"x{i + 1}" for i in range(n))
-    rep = Report(f"identities-p{p}-n{n}", "identities", seed, trials, degree)
+    rep = Report(f"identities-p{p}-n{n}", command="identities", seed=seed, trials=trials, degree=degree)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the p = 2 warning concerns descent only
         ring = PolyRing(PrimeField(p), names)
@@ -537,7 +522,7 @@ def main(argv=None) -> int:
         outputs.append((report, elapsed))
         status = max(status, code)
 
-    outputs.sort(key=lambda item: item[0].scenario)
+    outputs.sort(key=lambda item: item[0].title)
     if args.format == "json":
         documents = [report.to_dict() for report, _ in outputs]
         print(json.dumps(documents if len(documents) > 1 else documents[0], sort_keys=True, indent=2))

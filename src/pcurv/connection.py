@@ -296,7 +296,7 @@ def validate_flatness(M: ConnectionModule) -> ValidationReport:
             curvature = M.actions[a].commutator(M.actions[b]) - represent_operator(M, bracket)
             if not curvature.is_zero():
                 bad.append(f"(e{a + 1},e{b + 1}): {curvature}")
-    rep.add("flatness", not bad, witness="; ".join(bad[:2]) or None, pairs=A.rank * (A.rank - 1) // 2)
+    rep.check("flatness", bad, shown=2, pairs=A.rank * (A.rank - 1) // 2)
     return rep
 
 
@@ -398,7 +398,7 @@ def check_abstract_action_oracle(C: PCurvature) -> ValidationReport:
             bad.append(
                 f"e{a + 1}: {mat_str(represented.as_matrix())} != {mat_str(C.psi[a])}"
             )
-    rep.add("abstract_action_oracle", not bad, witness="; ".join(bad[:2]) or None)
+    rep.check("abstract_action_oracle", bad, shown=2)
     return rep
 
 
@@ -417,7 +417,7 @@ def check_p_linearity(C: PCurvature, panel) -> ValidationReport:
                 bad.append(f"f={f}, e{a + 1}: positive order")
             elif matrix != mat_scale(f**p, C.psi[a]):
                 bad.append(f"f={f}, e{a + 1}")
-    rep.add("p_linearity", not bad, witness="; ".join(bad[:2]) or None, panel=len(panel))
+    rep.check("p_linearity", bad, shown=2, panel=len(panel))
     return rep
 
 
@@ -430,7 +430,7 @@ def check_higgs_commutativity(C: PCurvature) -> ValidationReport:
         for b in range(a + 1, m):
             if not mat_is_zero(mat_commutator(C.psi[a], C.psi[b])):
                 bad.append(f"[psi_{a + 1}, psi_{b + 1}]")
-    rep.add("pairwise_commuting", not bad, witness="; ".join(bad) or None, pairs=m * (m - 1) // 2)
+    rep.check("pairwise_commuting", bad, pairs=m * (m - 1) // 2)
     return rep
 
 
@@ -453,6 +453,6 @@ def check_flat_commutation(C: PCurvature) -> ValidationReport:
             rhs = mat_map(A.anchor[b], C.psi[a])
             if lhs != rhs:
                 bad_matrix.append(f"(a={a + 1}, b={b + 1})")
-    rep.add("commutes_with_module_action", not bad_op, witness="; ".join(bad_op[:2]) or None)
-    rep.add("matrix_commutation_identity", not bad_matrix, witness="; ".join(bad_matrix[:2]) or None)
+    rep.check("commutes_with_module_action", bad_op, shown=2)
+    rep.check("matrix_commutation_identity", bad_matrix, shown=2)
     return rep

@@ -39,7 +39,7 @@ from .connection import (
     mat_sub,
     mat_trace,
 )
-from .poly import Derivation, NotDescendable, Poly, PolyRing, det, render_terms
+from .poly import Derivation, NotDescendable, Poly, PolyRing, det, render_monomial, render_terms
 from .report import ValidationReport
 
 
@@ -64,7 +64,7 @@ class HitchinInvariants:
     exponent tuple to its ring coefficient."""
 
     rank: int
-    generators: int
+    duals: tuple  # dual-variable names: y1, ..., ym, or as PolyRing.adjoin renamed them
     ring: PolyRing  # base ring of the module
     coefficients: tuple  # coefficients[k-1]: dict[y-exponents, Poly]
 
@@ -74,8 +74,11 @@ class HitchinInvariants:
                 yield k, yexp, table[yexp]
 
     def render(self, k: int) -> str:
-        names = [f"y{a + 1}" for a in range(self.generators)]
-        return render_terms(names, self.coefficients[k - 1])
+        return render_terms(self.duals, self.coefficients[k - 1])
+
+    def monomial(self, yexp) -> str:
+        """The dual-variable monomial with these exponents, "1" for none."""
+        return render_monomial(self.duals, yexp) or "1"
 
     def __str__(self):
         return "; ".join(f"e{k} = {self.render(k)}" for k in range(1, self.rank + 1))
@@ -105,7 +108,7 @@ def hitchin_invariants(C: PCurvature) -> HitchinInvariants:
         k = r - lam_exp
         if k > 0:
             coefficients[k - 1][tuple(yexp)] = -coeff if k % 2 == 1 else coeff
-    return HitchinInvariants(r, C.algebroid.rank, C.ring, coefficients)
+    return HitchinInvariants(r, cp.duals, C.ring, coefficients)
 
 
 # -- canonical connection and Cartier descent --------------------------------
@@ -156,23 +159,20 @@ def validate_trace_flatness(C: PCurvature, invariants: HitchinInvariants) -> Val
     rep = ValidationReport("anchor flatness of the invariants")
     A = C.algebroid
     anchors = [(b, d) for b, d in enumerate(A.anchor) if not d.is_zero()]
-    if not anchors:
-        rep.add("anchor_derivatives_of_traces", True, anchor="degenerate (all zero)")
-        rep.add("anchor_derivatives_of_invariants", True, anchor="degenerate (all zero)")
-        return rep
+    details = {} if anchors else {"anchor": "degenerate (all zero)"}
     bad = []
     for a in range(A.rank):
         trace = mat_trace(C.psi[a])
         for b, d in anchors:
             if not d(trace).is_zero():
                 bad.append(f"delta_{b + 1}(tr psi_{a + 1}) = {d(trace)}")
-    rep.add("anchor_derivatives_of_traces", not bad, witness="; ".join(bad[:2]) or None)
+    rep.check("anchor_derivatives_of_traces", bad, shown=2, **details)
     bad = []
     for k, yexp, coeff in invariants.items():
         for b, d in anchors:
             if not d(coeff).is_zero():
                 bad.append(f"delta_{b + 1} on e{k}[{yexp}]")
-    rep.add("anchor_derivatives_of_invariants", not bad, witness="; ".join(bad[:2]) or None)
+    rep.check("anchor_derivatives_of_invariants", bad, shown=2, **details)
     return rep
 
 

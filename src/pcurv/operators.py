@@ -21,7 +21,10 @@ elements f + sum g_a e_a are the ones a p-structure acts on.
 
 from __future__ import annotations
 
+import random
+
 from .algebroid import AlgebroidPresentation, PStructureShift
+from .panels import random_poly, random_vector
 from .poly import Poly, ResourceLimitError, power, render_terms
 from .report import ValidationReport
 
@@ -338,160 +341,124 @@ def check_enveloping_p_structure(structure, *, trials=10, seed=0, max_degree=3) 
     identity relating (f*D)^p to D^p carries the constant (p-1)! = -1
     (Wilson's theorem) in front of the f*delta^{p-1}(f^{p-1})*D term.
     """
-    import random as _random
-
-    from .panels import random_poly, random_vector
-
     A = _base_algebroid(structure)
     rep = ValidationReport(f"enveloping p-structure: {A}")
     p = A.p
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
+
+    def rand_poly():
+        return random_poly(rng, A.ring, max_degree, 2)
 
     def rand_h():
         return random_vector(rng, A.ring, A.rank, max_degree)
 
     def rand_lambda1():
-        return from_lambda1(A, random_poly(rng, A.ring, max_degree, 2), rand_h())
+        return from_lambda1(A, rand_poly(), rand_h())
 
     probes = [from_poly(A, A.ring.variable(v)) for v in A.ring.variables]
     probes += [generator(A, a) for a in range(A.rank)]
 
-    bad = []
-    for _ in range(trials):
+    def ad_axiom_on_degree_one():
         d = rand_lambda1()
         dp = p_operation_lambda1(structure, d)
         for e in probes:
-            lhs = dp.commutator(e)
             rhs = e
             for _ in range(p):
                 rhs = d.commutator(rhs)
-            if lhs != rhs:
-                bad.append(f"D={d}, E={e}")
-    rep.add("ad_axiom_on_degree_one", not bad, witness="; ".join(bad[:1]) or None, trials=trials)
+            if dp.commutator(e) != rhs:
+                return f"D={d}, E={e}"
 
-    bad = []
-    for _ in range(trials):
+    def jacobson_identity():
         x, y = rand_lambda1(), rand_lambda1()
-        lhs = (x + y) ** p
-        rhs = x**p + y**p
-        for s in lie_polynomials(x, y):
-            rhs = rhs + s
-        if lhs != rhs:
-            bad.append(f"x={x}, y={y}")
-    rep.add("jacobson_identity", not bad, witness="; ".join(bad[:1]) or None, trials=trials)
+        if (x + y) ** p != sum(lie_polynomials(x, y), x**p + y**p):
+            return f"x={x}, y={y}"
 
-    bad = []
-    for _ in range(trials):
+    def additivity_with_lie_polynomials():
         x, y = rand_lambda1(), rand_lambda1()
         lhs = p_operation_lambda1(structure, x + y)
         rhs = p_operation_lambda1(structure, x) + p_operation_lambda1(structure, y)
-        for s in lie_polynomials(x, y):
-            rhs = rhs + s
-        if lhs != rhs:
-            bad.append(f"x={x}, y={y}")
-    rep.add("additivity_with_lie_polynomials", not bad, witness="; ".join(bad[:1]) or None, trials=trials)
+        if lhs != sum(lie_polynomials(x, y), rhs):
+            return f"x={x}, y={y}"
 
-    bad = []
-    for _ in range(trials):
-        f = random_poly(rng, A.ring, max_degree, 2)
-        d = rand_lambda1()
-        _, coeffs = d.lambda1_parts()
-        delta_fd = A.anchor_of(coeffs).scale(f)
-        lhs = p_operation_lambda1(structure, d.scale(f))
-        rhs = p_operation_lambda1(structure, d).scale(f**p) + d.scale(
-            delta_fd.apply_iter(f, p - 1)
-        )
-        if lhs != rhs:
-            bad.append(f"f={f}, D={d}")
-    rep.add("function_multiple_rule", not bad, witness="; ".join(bad[:1]) or None, trials=trials)
+    def function_multiple_rule():
+        f, d = rand_poly(), rand_lambda1()
+        correction = A.anchor_of(d.lambda1_parts()[1]).scale(f).apply_iter(f, p - 1)
+        rhs = p_operation_lambda1(structure, d).scale(f**p) + d.scale(correction)
+        if p_operation_lambda1(structure, d.scale(f)) != rhs:
+            return f"f={f}, D={d}"
 
-    bad = []
-    for _ in range(trials):
-        f = random_poly(rng, A.ring, max_degree, 2)
-        d = from_h_element(A, rand_h())
-        _, coeffs = d.lambda1_parts()
-        nu = A.anchor_of(coeffs)
-        lhs = d.scale(f) ** p
+    def deligne_identity():
+        f, d = rand_poly(), from_h_element(A, rand_h())
+        nu = A.anchor_of(d.lambda1_parts()[1])
         rhs = (d**p).scale(f**p) - d.scale(f * nu.apply_iter(f ** (p - 1), p - 1))
-        if lhs != rhs:
-            bad.append(f"f={f}, D={d}")
-    rep.add("deligne_identity", not bad, witness="; ".join(bad[:1]) or None, trials=trials)
+        if d.scale(f) ** p != rhs:
+            return f"f={f}, D={d}"
 
-    bad = []
-    for _ in range(trials):
-        f = random_poly(rng, A.ring, max_degree, 2)
-        nu = A.anchor_of(rand_h())
-        lhs = nu.scale(f).pth_power()
-        rhs_components = tuple(
-            f**p * c for c in nu.pth_power().components
-        )
+    def hochschild_identity():
+        f, nu = rand_poly(), A.anchor_of(rand_h())
         correction = nu.scale(f).apply_iter(f, p - 1)
-        rhs_components = tuple(
-            rc + correction * c for rc, c in zip(rhs_components, nu.components)
+        rhs = tuple(
+            f**p * cp + correction * c
+            for cp, c in zip(nu.pth_power().components, nu.components)
         )
-        if lhs.components != rhs_components:
-            bad.append(f"f={f}, nu={nu}")
-    rep.add("hochschild_identity", not bad, witness="; ".join(bad[:1]) or None, trials=trials)
+        if nu.scale(f).pth_power().components != rhs:
+            return f"f={f}, nu={nu}"
 
-    bad = []
-    for _ in range(trials):
-        f = random_poly(rng, A.ring, max_degree, 2)
-        nu = A.anchor_of(rand_h())
-        lhs = nu.scale(f).apply_iter(f, p - 1)
-        rhs = -(f * nu.apply_iter(f ** (p - 1), p - 1))
-        if lhs != rhs:
-            bad.append(f"f={f}, nu={nu}")
-    rep.add("iterated_anchor_identity", not bad, witness="; ".join(bad[:1]) or None, trials=trials)
+    def iterated_anchor_identity():
+        f, nu = rand_poly(), A.anchor_of(rand_h())
+        if nu.scale(f).apply_iter(f, p - 1) != -(f * nu.apply_iter(f ** (p - 1), p - 1)):
+            return f"f={f}, nu={nu}"
 
-    bad = []
-    for _ in range(trials):
-        f = random_poly(rng, A.ring, max_degree, 2)
-        d = from_h_element(A, rand_h())
-        _, coeffs = d.lambda1_parts()
-        nu = A.anchor_of(coeffs)
+    def lie_polynomials_against_functions():
+        f, d = rand_poly(), from_h_element(A, rand_h())
+        nu = A.anchor_of(d.lambda1_parts()[1])
         ss = lie_polynomials(d, from_poly(A, f))
         for i, s in enumerate(ss[:-1], start=1):
             if not s.is_zero():
-                bad.append(f"s_{i}(D={d}, f={f}) = {s}")
+                return f"s_{i}(D={d}, f={f}) = {s}"
         if ss[-1] != from_poly(A, nu.apply_iter(f, p - 1)):
-            bad.append(f"s_{p - 1}(D={d}, f={f}) = {ss[-1]}")
-    rep.add("lie_polynomials_against_functions", not bad, witness="; ".join(bad[:1]) or None, trials=trials)
+            return f"s_{p - 1}(D={d}, f={f}) = {ss[-1]}"
 
-    bad = []
-    for _ in range(trials):
-        f1 = random_poly(rng, A.ring, max_degree, 2)
-        f2 = random_poly(rng, A.ring, max_degree, 2)
-        d1 = from_h_element(A, rand_h())
-        d2 = from_h_element(A, rand_h())
+    def induced_additivity():
+        f1, f2 = rand_poly(), rand_poly()
+        d1, d2 = from_h_element(A, rand_h()), from_h_element(A, rand_h())
         nu1 = A.anchor_of(d1.lambda1_parts()[1])
         nu2 = A.anchor_of(d2.lambda1_parts()[1])
-        nu12 = nu1 + nu2
         lhs = from_poly(A, nu1.apply_iter(f1, p - 1) + nu2.apply_iter(f2, p - 1))
-        for s in lie_polynomials(d1 + from_poly(A, f1), d2 + from_poly(A, f2)):
-            lhs = lhs + s
-        rhs = from_poly(A, nu12.apply_iter(f1 + f2, p - 1))
-        for s in lie_polynomials(d1, d2):
-            rhs = rhs + s
-        if lhs != rhs:
-            bad.append(f"f1={f1}, f2={f2}, D1={d1}, D2={d2}")
-    rep.add("induced_additivity", not bad, witness="; ".join(bad[:1]) or None, trials=trials)
+        lhs = sum(lie_polynomials(d1 + from_poly(A, f1), d2 + from_poly(A, f2)), lhs)
+        rhs = from_poly(A, (nu1 + nu2).apply_iter(f1 + f2, p - 1))
+        if lhs != sum(lie_polynomials(d1, d2), rhs):
+            return f"f1={f1}, f2={f2}, D1={d1}, D2={d2}"
 
-    bad = []
-    for _ in range(trials):
-        f = random_poly(rng, A.ring, max_degree, 2)
-        g = random_poly(rng, A.ring, max_degree, 2)
+    def iterated_delta_distributive():
+        f, g = rand_poly(), rand_poly()
         nu = A.anchor_of(rand_h())
         gnu = nu.scale(g)
-        lhs = gnu.apply_iter(g * f, p - 1)
         rhs = g**p * nu.apply_iter(f, p - 1) + gnu.apply_iter(g, p - 1) * f
-        if lhs != rhs:
-            bad.append(f"f={f}, g={g}, nu={nu}")
-    rep.add("iterated_delta_distributive", not bad, witness="; ".join(bad[:1]) or None, trials=trials)
+        if gnu.apply_iter(g * f, p - 1) != rhs:
+            return f"f={f}, g={g}, nu={nu}"
 
+    rep.run_cases(
+        [
+            ad_axiom_on_degree_one,
+            jacobson_identity,
+            additivity_with_lie_polynomials,
+            function_multiple_rule,
+            deligne_identity,
+            hochschild_identity,
+            iterated_anchor_identity,
+            lie_polynomials_against_functions,
+            induced_additivity,
+            iterated_delta_distributive,
+        ],
+        trials,
+    )
+
+    # The four p-curvature-element checks share one draw per trial.
     bad_central, bad_add, bad_scale, bad_symbol = [], [], [], []
     for _ in range(trials):
         d1, d2 = rand_lambda1(), rand_lambda1()
-        f = random_poly(rng, A.ring, max_degree, 2)
+        f = rand_poly()
         i1 = p_curvature_element(structure, d1, check_central=False)
         i2 = p_curvature_element(structure, d2, check_central=False)
         if not i1.is_central():
@@ -505,8 +472,8 @@ def check_enveloping_p_structure(structure, *, trials=10, seed=0, max_degree=3) 
             ih = p_curvature_element(structure, h, check_central=False)
             if ih.top_symbol() != h.top_symbol() ** p:
                 bad_symbol.append(f"D={h}")
-    rep.add("p_curvature_element_central", not bad_central, witness="; ".join(bad_central[:1]) or None, trials=trials)
-    rep.add("p_curvature_element_additive", not bad_add, witness="; ".join(bad_add[:1]) or None, trials=trials)
-    rep.add("p_curvature_element_p_linear", not bad_scale, witness="; ".join(bad_scale[:1]) or None, trials=trials)
-    rep.add("top_symbol_of_p_curvature_element", not bad_symbol, witness="; ".join(bad_symbol[:1]) or None, trials=trials)
+    rep.check("p_curvature_element_central", bad_central, shown=1, trials=trials)
+    rep.check("p_curvature_element_additive", bad_add, shown=1, trials=trials)
+    rep.check("p_curvature_element_p_linear", bad_scale, shown=1, trials=trials)
+    rep.check("top_symbol_of_p_curvature_element", bad_symbol, shown=1, trials=trials)
     return rep

@@ -2,7 +2,10 @@
 
 A report is a flat list of named checks.  Every failing check carries a
 witness string that reproduces the failure (the inputs echoed back), so a
-red report is actionable on its own.
+red report is actionable on its own.  :meth:`ValidationReport.check` is
+the one routine that turns a list of failure witnesses into a result, and
+:meth:`ValidationReport.run_cases` runs the seeded identities, each a named
+case function, through it.
 """
 
 from __future__ import annotations
@@ -36,6 +39,22 @@ class ValidationReport:
         self.checks.append(
             CheckResult(name, bool(passed), section=section, witness=witness, details=details)
         )
+
+    def check(self, name, failures, *, shown=None, **details):
+        """Record a check that passes iff ``failures`` (witness strings) is
+        empty; the witness is the first ``shown`` of them (all when None)
+        joined by "; "."""
+        self.add(name, not failures, witness="; ".join(failures[:shown]) or None, **details)
+
+    def run_cases(self, cases, trials: int):
+        """Run each case ``trials`` times, in order, and record it under its
+        function name.  A case draws its inputs, compares, and returns a
+        witness on failure or None on a pass; the first failing trial's
+        witness is shown.  Every trial runs, so cases sharing one random
+        source draw the same inputs whether earlier ones pass or fail."""
+        for case in cases:
+            failures = [w for w in (case() for _ in range(trials)) if w is not None]
+            self.check(case.__name__, failures, shown=1, trials=trials)
 
     @property
     def passed(self) -> bool:

@@ -25,6 +25,7 @@ from pcurv.cli import (
 from pcurv.poly import ResourceLimitError
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -82,9 +83,9 @@ class TestLoading:
     @pytest.mark.parametrize(
         "field, edit",
         [
-            ("bracket", lambda doc: doc["algebroid"].update(bracket=[[["0", "0"]]])),
-            ("anchor", lambda doc: doc["algebroid"].update(anchor=[["1"], ["0"]])),
-            ("p_op", lambda doc: doc["algebroid"].update(p_op=[[["0"]]])),
+            ("algebroid.bracket", lambda doc: doc["algebroid"].update(bracket=[[["0", "0"]]])),
+            ("algebroid.anchor", lambda doc: doc["algebroid"].update(anchor=[["1"], ["0"]])),
+            ("algebroid.p_op", lambda doc: doc["algebroid"].update(p_op=[[["0"]]])),
             ("shift.phi", lambda doc: doc.update(shift={"phi": []})),
             ("module.matrices", lambda doc: doc["module"].update(matrices=[[["x"], ["0"]]])),
             ("module rank", lambda doc: doc["module"].update(rank=0, matrices=[[]])),
@@ -142,6 +143,14 @@ class TestRunScenario:
         assert code == EXIT_OK
         assert report.data["descent"]["e1@y1"] == {"not_descendable": "2*x^2"}
         assert report.data["invariants"] == {"e1": "(x^3 + 2*x^2)*y1"}
+
+    def test_dual_variables_avoid_a_coordinate_named_y1(self, tmp_path):
+        doc = minimal_doc(coordinates=["y1"])
+        doc["module"] = {"rank": 2, "matrices": [[["0", "1"], ["y1", "0"]]]}
+        report, code = run_scenario(write_scenario(tmp_path, doc), "descend")
+        assert code == EXIT_OK
+        assert report.data["invariants"] == {"e1": "0", "e2": "(2*y1^3 + 2)*y10^2"}
+        assert report.data["descent"] == {"e2@y10^2": {"descended": "2*y1 + 2"}}
 
     def test_unexpected_descent_failure_is_red(self, tmp_path):
         doc = minimal_doc(expect="not_descendable")
@@ -228,6 +237,22 @@ class TestGoldenReports:
             str(SCENARIOS / f"{stem}.json"), command, seed=0, trials=20, degree=3
         )
         assert report.to_json() + "\n" == golden.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("broken_axioms.validate.json", ["validate", str(GOLDEN / "broken_axioms.json")]),
+            ("identities_p3_n2.json", ["identities", "--p", "3", "--n", "2"]),
+        ],
+        ids=["broken_axioms.validate", "identities_p3_n2"],
+    )
+    def test_failing_and_battery_reports_match_golden(self, capsys, golden, argv):
+        """Pins the witnesses of failing checks (cut-offs of all, 1 and 2
+        failures) and the full identity battery."""
+        expected = (GOLDEN / golden).read_text(encoding="utf-8")
+        code = main([*argv, "--format", "json"])
+        assert capsys.readouterr().out == expected
+        assert code == (EXIT_OK if json.loads(expected)["passed"] else EXIT_MATH_FAILURE)
 
     def test_structured_output_is_deterministic(self):
         a, _ = run_scenario(str(SCENARIOS / "crystalline_1d.json"), "descend", seed=7)
