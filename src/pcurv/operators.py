@@ -184,7 +184,9 @@ class OperatorElement:
     # -- rendering ---------------------------------------------------------------
 
     def __str__(self):
-        return render_terms([f"e{a + 1}" for a in range(self.algebroid.rank)], self.terms)
+        A = self.algebroid
+        _, names = A.ring.adjoin(*(f"e{a + 1}" for a in range(A.rank)))
+        return render_terms(names, self.terms)
 
     def __repr__(self):
         return f"OperatorElement({self})"

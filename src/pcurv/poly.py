@@ -1,14 +1,35 @@
 """Exact sparse multivariate polynomial arithmetic over a prime field F_p.
 
 A polynomial in F_p[x_1, ..., x_n] is stored as a dictionary mapping
-exponent tuples to nonzero coefficients in {1, ..., p-1}:
+packed monomials to nonzero coefficients in {1, ..., p-1}.  A monomial is
+one int: its total degree in the top field, then x_1, ..., x_n in fields
+of ``FIELD_BITS`` bits each, x_1 highest (after Monagan & Pearce,
+*Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors*, CASC 2007):
+
+    x*y^2 over (x, y)  ->  3 << 2B  |  1 << B  |  2        (B = FIELD_BITS)
+
+so that
+
+- a product of monomials is one int addition, and d/dx_j one subtraction;
+- the total degree is ``key >> (n * FIELD_BITS)``;
+- descending int order is total degree descending, then exponents
+  descending: the order ``str`` prints terms in.
+
+No field ever carries into the next: every way in, from exponent tuples
+(:class:`Poly`, :meth:`PolyRing.monomial`, :meth:`Poly.map_to`) and from
+the degree-raising operations (``*``, ``**``, :meth:`Poly.frobenius`),
+checks the total degree against ``DEGREE_LIMIT`` first and raises
+:class:`ResourceLimitError` above it; every exponent is then at most the
+total degree, which fits in ``FIELD_BITS``.  ``Poly.terms`` shows the same
+terms keyed by exponent tuples:
 
     2*x*y + 4*y   over F_5, variables (x, y)
-        ->  {(1, 1): 2, (0, 1): 4}
+        ->  terms {(1, 1): 2, (0, 1): 4}
 
-The zero polynomial is the empty dictionary.  Every operation reduces
-coefficients modulo p and drops zero terms, so structural equality of the
-term dictionaries is semantic equality.  Values are never mutated after
+The zero polynomial has no terms.  Every operation reduces coefficients
+modulo p and drops zero terms, so structural equality of the term
+dictionaries is semantic equality.  Values are never mutated after
 construction and every operation returns a fresh value; they can be shared
 freely between threads.
 
@@ -34,11 +55,15 @@ from __future__ import annotations
 
 import operator
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 # Degrees past this bound abort with ResourceLimitError; exact arithmetic
 # never overflows, the bound only stops runaway computations.
 DEGREE_LIMIT = 10**6
+# Width of one exponent field of a packed monomial: holds 0..DEGREE_LIMIT.
+FIELD_BITS = DEGREE_LIMIT.bit_length()
+FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 class ResourceLimitError(RuntimeError):
@@ -87,11 +112,18 @@ def render_monomial(names, exponents) -> str:
 
 def render_terms(names, terms: dict) -> str:
     """A sum of coefficient * monomial terms, keyed by exponent tuples over
-    ``names``: total degree descending, then exponents descending.  A unit
-    coefficient is dropped and a coefficient that is itself a sum is
+    ``names``: total degree descending, then exponents descending."""
+    return join_terms(
+        names, sorted(terms.items(), key=lambda ec: (sum(ec[0]), ec[0]), reverse=True)
+    )
+
+
+def join_terms(names, items) -> str:
+    """The sum of (exponent tuple, coefficient) pairs, in the order given.
+    A unit coefficient is dropped and a coefficient that is itself a sum is
     bracketed."""
     chunks = []
-    for e, c in sorted(terms.items(), key=lambda ec: (sum(ec[0]), ec[0]), reverse=True):
+    for e, c in items:
         mono, cs = render_monomial(names, e), str(c)
         if not mono:
             chunks.append(cs)
@@ -156,6 +188,13 @@ class PolyRing:
             raise ValueError(
                 f"deformation variable {self.rees_variable!r} is not a ring variable"
             )
+        # Packed monomials: _offsets[j] is the bit position of x_j's field,
+        # _steps[j] the key of x_j itself (degree 1, exponent 1 at x_j).
+        n = len(names)
+        offsets = tuple(FIELD_BITS * (n - 1 - j) for j in range(n))
+        object.__setattr__(self, "_shift", FIELD_BITS * n)
+        object.__setattr__(self, "_offsets", offsets)
+        object.__setattr__(self, "_steps", tuple((1 << self._shift) | (1 << o) for o in offsets))
 
     @property
     def p(self) -> int:
@@ -176,35 +215,45 @@ class PolyRing:
         ri = self.rees_index
         return tuple(j for j in range(self.nvars) if j != ri)
 
+    def _pack(self, exponents) -> int:
+        """The packed key of an exponent tuple.  Every tuple becomes a key
+        here, so every tuple is checked against the degree bound."""
+        exponents = tuple(exponents)
+        if len(exponents) != self.nvars:
+            raise ValueError("exponent tuple has wrong length")
+        if min(exponents) < 0:
+            raise ValueError(f"negative exponent in {exponents}")
+        key = sum(exponents)
+        if key > DEGREE_LIMIT:
+            raise ResourceLimitError(
+                f"monomial degree {key} exceeds the degree bound {DEGREE_LIMIT}"
+            )
+        for k in exponents:
+            key = (key << FIELD_BITS) | k
+        return key
+
+    def _unpack(self, key: int) -> tuple[int, ...]:
+        return tuple((key >> o) & FIELD_MASK for o in self._offsets)
+
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        return _poly(self, {})
 
     def one(self) -> "Poly":
         return self.constant(1)
 
     def constant(self, c: int) -> "Poly":
         c %= self.p
-        if c == 0:
-            return Poly(self, {})
-        return Poly(self, {(0,) * self.nvars: c})
+        return _poly(self, {0: c} if c else {})
 
     def variable(self, name_or_index) -> "Poly":
         if isinstance(name_or_index, str):
             j = self.variables.index(name_or_index)
         else:
             j = name_or_index
-        exp = [0] * self.nvars
-        exp[j] = 1
-        return Poly(self, {tuple(exp): 1})
+        return _poly(self, {self._steps[j]: 1})
 
     def monomial(self, exponents, coefficient: int = 1) -> "Poly":
-        c = coefficient % self.p
-        exponents = tuple(exponents)
-        if len(exponents) != self.nvars:
-            raise ValueError("exponent tuple has wrong length")
-        if c == 0:
-            return Poly(self, {})
-        return Poly(self, {exponents: c})
+        return Poly(self, {tuple(exponents): coefficient})
 
     def adjoin(self, *bases: str) -> tuple["PolyRing", tuple[str, ...]]:
         """The ring with one fresh variable per base name appended, and the
@@ -231,45 +280,59 @@ class PolyRing:
 
 
 class Poly:
-    """A sparse multivariate polynomial.  Treat as immutable."""
+    """A sparse multivariate polynomial.  Treat as immutable.
 
-    __slots__ = ("ring", "terms")
+    ``Poly(ring, terms)`` takes a dictionary from exponent tuples to
+    integer coefficients; the coefficients are reduced mod p."""
+
+    __slots__ = ("ring", "_terms")
 
     def __init__(self, ring: PolyRing, terms: dict):
+        p, pack = ring.p, ring._pack
+        packed = {}
+        for e, c in terms.items():
+            key, c = pack(e), c % p
+            if c:
+                packed[key] = c
         self.ring = ring
-        self.terms = terms
+        self._terms = packed
+
+    @property
+    def terms(self) -> "Terms":
+        """The terms keyed by exponent tuples, a read-only view."""
+        return Terms(self.ring, self._terms)
 
     # -- basic structure -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._terms:
             return -1
-        return max(sum(exp) for exp in self.terms)
+        return max(self._terms) >> self.ring._shift
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (self.ring is other.ring or self.ring == other.ring) and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, frozenset(self._terms.items())))
 
     # -- ring operations -------------------------------------------------
 
     def _check_ring(self, other: "Poly"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("polynomials from different rings")
 
     def __neg__(self):
         p = self.ring.p
-        return Poly(self.ring, {e: p - c for e, c in self.terms.items()})
+        return _poly(self.ring, {k: p - c for k, c in self._terms.items()})
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -278,14 +341,14 @@ class Poly:
             return NotImplemented
         self._check_ring(other)
         p = self.ring.p
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = (out.get(e, 0) + c) % p
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            s = (out.get(k, 0) + c) % p
             if s:
-                out[e] = s
+                out[k] = s
             else:
-                out.pop(e, None)
-        return Poly(self.ring, out)
+                del out[k]
+        return _poly(self.ring, out)
 
     __radd__ = __add__
 
@@ -305,26 +368,29 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_ring(other)
-        if not self.terms or not other.terms:
-            return Poly(self.ring, {})
+        big, small = self._terms, other._terms
+        if not big or not small:
+            return _poly(self.ring, {})
+        # Within the bound every exponent fits its field, so adding keys
+        # adds exponents field by field.
         if self.total_degree() + other.total_degree() > DEGREE_LIMIT:
             raise ResourceLimitError("product degree exceeds the configured bound")
-        p = self.ring.p
+        if len(big) < len(small):
+            big, small = small, big
+        small = tuple(small.items())
         out: dict = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(i + j for i, j in zip(ea, eb))
-                s = (out.get(e, 0) + ca * cb) % p
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Poly(self.ring, out)
+        get = out.get
+        for ka, ca in big.items():
+            for kb, cb in small:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        p = self.ring.p
+        return _poly(self.ring, {k: r for k, c in out.items() if (r := c % p)})
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if self.terms and self.total_degree() * k > DEGREE_LIMIT:
+        if self._terms and self.total_degree() * k > DEGREE_LIMIT:
             raise ResourceLimitError("power degree exceeds the configured bound")
         return power(self, k, self.ring.one())
 
@@ -335,19 +401,14 @@ class Poly:
         if not 0 <= j < self.ring.nvars:
             raise ValueError(f"variable index {j} out of range")
         p = self.ring.p
-        out: dict = {}
-        for e, c in self.terms.items():
-            k = e[j]
-            cc = (c * k) % p
-            if k == 0 or cc == 0:
-                continue
-            e2 = e[:j] + (k - 1,) + e[j + 1 :]
-            s = (out.get(e2, 0) + cc) % p
-            if s:
-                out[e2] = s
-            else:
-                out.pop(e2, None)
-        return Poly(self.ring, out)
+        offset, step = self.ring._offsets[j], self.ring._steps[j]
+        out = {}
+        # Lowering x_j by one is injective on monomials: nothing collects.
+        for key, c in self._terms.items():
+            cc = c * ((key >> offset) & FIELD_MASK) % p
+            if cc:
+                out[key - step] = cc
+        return _poly(self.ring, out)
 
     # -- Frobenius -------------------------------------------------------
 
@@ -355,13 +416,18 @@ class Poly:
         """Pullback under the absolute Frobenius: every ordinary exponent is
         multiplied by p; the deformation exponent and all coefficients are
         fixed."""
-        p = self.ring.p
-        ri = self.ring.rees_index
+        ring, p = self.ring, self.ring.p
+        ri = ring.rees_index
+        offset, step = (0, 0) if ri is None else (ring._offsets[ri], ring._steps[ri])
         out = {}
-        for e, c in self.terms.items():
-            e2 = tuple(k if j == ri else k * p for j, k in enumerate(e))
-            out[e2] = c
-        return Poly(self.ring, out)
+        for key, c in self._terms.items():
+            # Scaling the key scales every field; the deformation exponent
+            # is then put back, in its own field and in the degree.
+            fixed = (key >> offset) & FIELD_MASK if step else 0
+            if p * (key >> ring._shift) - (p - 1) * fixed > DEGREE_LIMIT:
+                raise ResourceLimitError("Frobenius pullback degree exceeds the configured bound")
+            out[p * key - (p - 1) * fixed * step] = c
+        return _poly(ring, out)
 
     def pth_root(self):
         """The polynomial g with g.frobenius() == self, if it exists.
@@ -426,10 +492,44 @@ class Poly:
     # -- rendering -------------------------------------------------------
 
     def __str__(self):
-        return render_terms(self.ring.variables, self.terms)
+        unpack = self.ring._unpack
+        graded = sorted(self._terms.items(), reverse=True)
+        return join_terms(self.ring.variables, ((unpack(key), c) for key, c in graded))
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def _poly(ring: PolyRing, packed: dict) -> Poly:
+    """A Poly straight from packed keys and reduced coefficients."""
+    f = object.__new__(Poly)
+    f.ring = ring
+    f._terms = packed
+    return f
+
+
+class Terms(Mapping):
+    """The terms of a :class:`Poly` keyed by exponent tuples: a read-only
+    view that unpacks keys as it goes, with ``len`` in O(1)."""
+
+    __slots__ = ("_ring", "_packed")
+
+    def __init__(self, ring: PolyRing, packed: dict):
+        self._ring = ring
+        self._packed = packed
+
+    def __len__(self):
+        return len(self._packed)
+
+    def __iter__(self):
+        return map(self._ring._unpack, self._packed)
+
+    def __getitem__(self, exponents):
+        return self._packed[self._ring._pack(exponents)]
+
+    def items(self):
+        unpack = self._ring._unpack
+        return [(unpack(key), c) for key, c in self._packed.items()]
 
 
 @dataclass(frozen=True)

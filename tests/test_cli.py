@@ -243,12 +243,15 @@ class TestGoldenReports:
         [
             ("broken_axioms.validate.json", ["validate", str(GOLDEN / "broken_axioms.json")]),
             ("identities_p3_n2.json", ["identities", "--p", "3", "--n", "2"]),
+            ("higgs_wide_p5.descend.json", ["descend", str(GOLDEN / "higgs_wide_p5.json")]),
         ],
-        ids=["broken_axioms.validate", "identities_p3_n2"],
+        ids=["broken_axioms.validate", "identities_p3_n2", "higgs_wide_p5.descend"],
     )
     def test_failing_and_battery_reports_match_golden(self, capsys, golden, argv):
         """Pins the witnesses of failing checks (cut-offs of all, 1 and 2
-        failures) and the full identity battery."""
+        failures), the full identity battery, and a big multivariate path:
+        the seed-0 p = 5 ``higgs_wide`` benchmark input, whose
+        characteristic polynomial has hundreds of terms in five variables."""
         expected = (GOLDEN / golden).read_text(encoding="utf-8")
         code = main([*argv, "--format", "json"])
         assert capsys.readouterr().out == expected
@@ -296,6 +299,13 @@ class TestMainEntry:
         doc["module"]["matrices"] = [[["x^2000000"]]]
         with pytest.raises(ResourceLimitError, match=r"module\.matrices\[0\]\[0\]"):
             load_scenario(write_scenario(tmp_path, doc))
+        assert main(["pcurvature", write_scenario(tmp_path, doc)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "module.matrices[0][0]" in err
+
+    def test_entry_just_past_the_degree_bound_is_one_line_input_error(self, tmp_path, capsys):
+        doc = minimal_doc()
+        doc["module"]["matrices"] = [[["x^1000001"]]]
         assert main(["pcurvature", write_scenario(tmp_path, doc)]) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "module.matrices[0][0]" in err

@@ -44,6 +44,13 @@ class TestNormalForm:
         xd = ops.from_poly(A, A.ring.variable("x")) * ops.generator(A, 0)
         assert str(xd * xd) == "x^2*e1^2 + x*e1"
 
+    def test_generators_print_apart_from_a_coordinate_named_e1(self):
+        A = weyl(3, ("e1",))
+        x, d = ops.from_poly(A, A.ring.variable("e1")), ops.generator(A, 0)
+        assert str(x * d) == "e1*e10"
+        assert str(d * x) == "e1*e10 + 1"
+        assert str(x * x) == "e1^2" and str(d * d) == "e10^2"
+
     def test_higgs_no_corrections(self):
         R = ring(3)
         H = higgs_algebroid(R, 2, [[R.zero()] * 2, [R.zero()] * 2])

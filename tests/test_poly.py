@@ -2,16 +2,18 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pcurv.poly import (
+    DEGREE_LIMIT,
     Derivation,
     NotDescendable,
     Poly,
     PolyParseError,
     PolyRing,
     PrimeField,
+    ResourceLimitError,
     det,
     parse_poly,
 )
@@ -59,6 +61,157 @@ def square_matrices(draw):
     exponents = st.tuples(*[st.integers(0, 2)] * R.nvars)
     entries = st.dictionaries(exponents, st.integers(1, p - 1), max_size=3)
     return [[Poly(R, draw(entries)) for _ in range(n)] for _ in range(n)]
+
+
+# -- the tuple-keyed kernel, the packed kernel's oracle ---------------------
+#
+# The loops Poly ran when monomials were exponent tuples, on plain
+# dictionaries from exponent tuples to coefficients in 1..p-1.
+
+
+def tuple_add(p, a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = (out.get(e, 0) + c) % p
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def tuple_mul(p, a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            s = (out.get(e, 0) + ca * cb) % p
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def tuple_derive(p, a, j):
+    out = {}
+    for e, c in a.items():
+        k = e[j]
+        cc = (c * k) % p
+        if k == 0 or cc == 0:
+            continue
+        e2 = e[:j] + (k - 1,) + e[j + 1 :]
+        s = (out.get(e2, 0) + cc) % p
+        if s:
+            out[e2] = s
+        else:
+            out.pop(e2, None)
+    return out
+
+
+def tuple_frobenius(p, ri, a):
+    return {tuple(k if j == ri else k * p for j, k in enumerate(e)): c for e, c in a.items()}
+
+
+def tuple_pth_root(p, ri, a):
+    """The root's terms, or the offending (exponents, coefficient) pairs in
+    exponent order."""
+    bad, out = [], {}
+    for e, c in sorted(a.items()):
+        if any(k % p for j, k in enumerate(e) if j != ri):
+            bad.append((e, c))
+        else:
+            out[tuple(k if j == ri else k // p for j, k in enumerate(e))] = c
+    return tuple(bad) if bad else out
+
+
+def tuple_split(variables, a, names):
+    idxs = [variables.index(n) for n in names]
+    keep = [j for j in range(len(variables)) if j not in idxs]
+    parts = {}
+    for e, c in a.items():
+        parts.setdefault(tuple(e[j] for j in idxs), {})[tuple(e[j] for j in keep)] = c
+    return parts
+
+
+@st.composite
+def kernel_pairs(draw):
+    """Two random polynomials over one ring of 1-5 coordinates, with or
+    without a deformation variable t; exponents up to 80000, so fields far
+    from empty, and coefficients not yet reduced mod p."""
+    p = draw(st.sampled_from([3, 5, 7, 101]))
+    names = ("x", "y", "z", "u", "v")[: draw(st.integers(1, 5))]
+    R = ring(p, names + ("t",), "t") if draw(st.booleans()) else ring(p, names)
+    exponents = st.tuples(*[st.integers(0, 12) | st.integers(0, 80_000)] * R.nvars)
+    terms = st.dictionaries(exponents, st.integers(-3 * p, 3 * p), max_size=8)
+    return Poly(R, draw(terms)), Poly(R, draw(terms))
+
+
+class TestPackedKernel:
+    """The packed kernel against the tuple-keyed one, term for term."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_pairs())
+    def test_ring_operations_match_tuple_oracle(self, pair):
+        f, g = pair
+        p, F, G = f.ring.p, dict(f.terms), dict(g.terms)
+        assert dict((f * g).terms) == tuple_mul(p, F, G)
+        assert dict((f + g).terms) == tuple_add(p, F, G)
+        assert dict((-f).terms) == {e: p - c for e, c in F.items()}
+        for j in range(f.ring.nvars):
+            assert dict(f.derive(j).terms) == tuple_derive(p, F, j)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_pairs())
+    def test_frobenius_and_pth_root_match_tuple_oracle(self, pair):
+        f, _ = pair
+        p, ri = f.ring.p, f.ring.rees_index
+        expected = tuple_frobenius(p, ri, dict(f.terms))
+        if max(map(sum, expected), default=0) > DEGREE_LIMIT:
+            with pytest.raises(ResourceLimitError):
+                f.frobenius()
+            candidates = [f]
+        else:
+            assert dict(f.frobenius().terms) == expected
+            candidates = [f, f.frobenius()]
+        for g in candidates:
+            root, oracle = g.pth_root(), tuple_pth_root(p, ri, dict(g.terms))
+            if isinstance(oracle, tuple):
+                assert isinstance(root, NotDescendable) and root.offending == oracle
+            else:
+                assert dict(root.terms) == oracle
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_pairs(), st.data())
+    def test_split_variables_matches_tuple_oracle(self, pair, data):
+        f, _ = pair
+        variables = f.ring.variables
+        assume(len(variables) > 1)
+        names = data.draw(
+            st.lists(st.sampled_from(variables), min_size=1, max_size=len(variables) - 1, unique=True)
+        )
+        parts = {k: dict(v.terms) for k, v in f.split_variables(*names).items()}
+        assert parts == tuple_split(variables, dict(f.terms), names)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_pairs())
+    def test_terms_view_degree_and_print_order(self, pair):
+        f, _ = pair
+        R, F = f.ring, dict(f.terms)
+        assert Poly(R, f.terms) == f and len(f.terms) == len(F)
+        assert set(f.terms) == set(F) and all(f.terms[e] == c for e, c in F.items())
+        assert f.total_degree() == max(map(sum, F), default=-1)
+        graded = sorted(F.items(), key=lambda ec: (sum(ec[0]), ec[0]), reverse=True)
+        assert str(f) == (" + ".join(str(Poly(R, {e: c})) for e, c in graded) or "0")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([3, 5, 7]),
+        st.dictionaries(st.tuples(st.integers(0, 9), st.integers(0, 9)), st.integers(-50, 50)),
+    )
+    def test_constructor_reduces_coefficients(self, p, terms):
+        reduced = {e: c % p for e, c in terms.items() if c % p}
+        assert dict(Poly(ring(p, ("x", "y")), terms).terms) == reduced
 
 
 class TestParse:
@@ -393,6 +546,38 @@ def leibniz_det(m):
 
 
 class TestResourceLimits:
+    def test_monomial_past_the_bound_raises(self):
+        R, R2 = ring(3), ring(3, ("x", "y"))
+        with pytest.raises(ResourceLimitError):
+            R.monomial((DEGREE_LIMIT + 1,))
+        with pytest.raises(ResourceLimitError):
+            Poly(R2, {(DEGREE_LIMIT, 1): 1})
+        assert dict(R2.monomial((DEGREE_LIMIT, 0)).terms) == {(DEGREE_LIMIT, 0): 1}
+        assert dict(R2.monomial((0, DEGREE_LIMIT)).terms) == {(0, DEGREE_LIMIT): 1}
+
+    def test_product_past_the_bound_raises(self):
+        R = ring(3)
+        x = R.variable("x")
+        top = x**DEGREE_LIMIT
+        assert top.total_degree() == DEGREE_LIMIT
+        with pytest.raises(ResourceLimitError):
+            top * x
+
+    def test_frobenius_past_the_bound_raises(self):
+        x = ring(3).variable("x")
+        with pytest.raises(ResourceLimitError):
+            (x ** (DEGREE_LIMIT // 2)).frobenius()
+        R = ring(3, ("x", "t"), rees="t")
+        t = R.variable("t") ** (DEGREE_LIMIT // 2)
+        assert t.frobenius() == t
+
+    def test_map_to_keeps_a_monomial_at_the_bound(self):
+        R = ring(3, ("x", "y"))
+        big = ring(3, ("z", "y", "x"))
+        f = R.monomial((DEGREE_LIMIT - 7, 7))
+        assert f.map_to(big) == big.monomial((0, 7, DEGREE_LIMIT - 7))
+
+
     def test_power_degree_bound(self):
         from pcurv.poly import ResourceLimitError
 
