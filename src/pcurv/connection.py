@@ -55,7 +55,7 @@ from operator import add, mul
 
 from . import operators as ops
 from .algebroid import AlgebroidPresentation, tangent_algebroid
-from .poly import Poly, PolyRing, power
+from .poly import Poly, PolyRing, left_power, power
 from .report import ValidationReport
 
 # -- exact matrix helpers -----------------------------------------------------
@@ -159,7 +159,7 @@ class MatrixDiffOp:
         return MatrixDiffOp(self.weyl, mat_mul(self.entries, other.entries))
 
     def __pow__(self, k: int):
-        return power(self, k, MatrixDiffOp.identity(self.weyl, self.rank))
+        return left_power(self, k, MatrixDiffOp.identity(self.weyl, self.rank))
 
     def scale(self, f: Poly):
         return MatrixDiffOp(self.weyl, mat_map(lambda x: x.scale(f), self.entries))
@@ -271,16 +271,24 @@ class ConnectionModule:
 
 def represent_operator(M: ConnectionModule, op: ops.OperatorElement) -> MatrixDiffOp:
     """The action of an arbitrary enveloping-algebra element, sending each
-    normal-form word e^beta to the product of the generator-action powers
-    (nabla_{e_a})^{beta_a}."""
+    normal-form word e^beta to the product of the generator actions
+    (nabla_{e_1})^{beta_1} ... (nabla_{e_m})^{beta_m}.
+
+    Each word is built from the identity by left-multiplying by one
+    order-1 action at a time, from the last generator to the first; no
+    two words of positive order are ever multiplied.  Left-multiplying an
+    order-k operator by an order-1 one costs about as many generator
+    rewrites as the product has terms, so a word of length k costs
+    O(k^2) of them, O(p^2) for the e_a^p of the p-curvature oracle.
+    Square-and-multiply would square two order-k/2 operators, about
+    (k/2)^2 term pairs each expanded through k/2 rewrites: O(p^3)."""
     weyl = M.weyl
     zero = ops.zero(weyl)
     out = MatrixDiffOp(weyl, mat_scalar(zero, zero, M.rank))
     for beta, f in op.terms.items():
         word = MatrixDiffOp.identity(weyl, M.rank)
-        for a, k in enumerate(beta):
-            if k:
-                word = word * M.actions[a] ** k
+        for a in reversed(range(len(beta))):
+            word = left_power(M.actions[a], beta[a], word)
         out = out + word.scale(f)
     return out
 

@@ -25,7 +25,7 @@ import random
 
 from .algebroid import AlgebroidPresentation, PStructureShift
 from .panels import random_poly, random_vector
-from .poly import Poly, ResourceLimitError, power, render_terms
+from .poly import Poly, ResourceLimitError, left_power, render_terms
 from .report import ValidationReport
 
 # Normal forms larger than this abort; guards runaway rewriting only.
@@ -58,13 +58,15 @@ class OperatorElement:
     def __eq__(self, other):
         if not isinstance(other, OperatorElement):
             return NotImplemented
-        return self.algebroid == other.algebroid and self.terms == other.terms
+        return (
+            self.algebroid is other.algebroid or self.algebroid == other.algebroid
+        ) and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.algebroid, frozenset(self.terms.items())))
 
     def _check(self, other):
-        if self.algebroid != other.algebroid:
+        if self.algebroid is not other.algebroid and self.algebroid != other.algebroid:
             raise ValueError("operators over different algebroids")
 
     # -- additive structure --------------------------------------------------
@@ -132,7 +134,7 @@ class OperatorElement:
         return NotImplemented
 
     def __pow__(self, k: int) -> "OperatorElement":
-        return power(self, k, one(self.algebroid))
+        return left_power(self, k, one(self.algebroid))
 
     def commutator(self, other) -> "OperatorElement":
         return self * other - other * self

@@ -64,6 +64,8 @@ DEGREE_LIMIT = 10**6
 # Width of one exponent field of a packed monomial: holds 0..DEGREE_LIMIT.
 FIELD_BITS = DEGREE_LIMIT.bit_length()
 FIELD_MASK = (1 << FIELD_BITS) - 1
+# The packed terms of the polynomial 1: the unit monomial packs to key 0.
+_UNIT = {0: 1}
 
 
 class ResourceLimitError(RuntimeError):
@@ -90,8 +92,8 @@ def _is_prime(n: int) -> bool:
 
 
 def power(base, k: int, one, mul=operator.mul):
-    """base ** k by square-and-multiply, starting from ``one``; the one
-    power loop behind every element type's ``**``."""
+    """base ** k by square-and-multiply, starting from ``one``; the power
+    loop of the commutative kernels (polynomials and polynomial matrices)."""
     if k < 0:
         raise ValueError("negative exponent")
     result = one
@@ -101,6 +103,21 @@ def power(base, k: int, one, mul=operator.mul):
         k >>= 1
         if k:
             base = mul(base, base)
+    return result
+
+
+def left_power(base, k: int, one):
+    """base * (base * ... (base * one)) with k factors: the power loop of
+    the filtered, non-commutative element types (operators and matrices
+    of operators).  Left-multiplying by an order-1 base costs about the
+    size of the running product, so k factors cost O(k^2) generator
+    rewrites, where squaring two order-k/2 products costs O(k^3).
+    ``one`` may be any right factor, which then ends the product."""
+    if k < 0:
+        raise ValueError("negative exponent")
+    result = one
+    for _ in range(k):
+        result = base * result
     return result
 
 
@@ -583,7 +600,9 @@ class Derivation:
             raise ValueError("polynomial from a different ring")
         out = self.ring.zero()
         for j, comp in enumerate(self.components):
-            if comp:
+            if comp._terms == _UNIT:
+                out = out + f.derive(j)
+            elif comp:
                 out = out + comp * f.derive(j)
         return out
 

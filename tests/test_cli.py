@@ -421,3 +421,41 @@ class TestStageCounts:
         traced = ("connection.flatness", "hitchin.charpoly", "hitchin.invariants")
         assert {name: tracer.stats[name].calls for name in traced} == dict.fromkeys(traced, modules)
         assert counts == {"check_higgs_commutativity": modules, "tangent_algebroid": weyl_builds}
+
+
+def crystalline_1d_at(tmp_path, p):
+    """``scenarios/crystalline_1d.json`` with its prime replaced by ``p``."""
+    doc = json.loads((SCENARIOS / "crystalline_1d.json").read_text(encoding="utf-8"))
+    doc["p"] = p
+    return write_scenario(tmp_path, doc, name=f"crystalline_1d_p{p}.json")
+
+
+class TestOracleCost:
+    """The oracle builds each word e^beta by left-multiplying by one
+    generator action at a time: at most p products of matrix operators per
+    generator for e_a^p, each with an order-1 action on the left.
+    Square-and-multiply takes fewer products but squares words of positive
+    order, O(p^3) generator rewrites in all where this costs O(p^2)."""
+
+    def test_oracle_multiplies_by_one_action_at_a_time(self, tmp_path, monkeypatch):
+        p = 13
+        scenario = load_scenario(crystalline_1d_at(tmp_path, p))
+        C = connection.p_curvature(scenario.module, scenario.structure)
+        actions = scenario.module.actions
+        left_factors = []
+        multiply = connection.MatrixDiffOp.__mul__
+
+        def counted(left, right):
+            left_factors.append(left)
+            return multiply(left, right)
+
+        monkeypatch.setattr(connection.MatrixDiffOp, "__mul__", counted)
+        assert connection.check_abstract_action_oracle(C).passed
+        assert 0 < len(left_factors) <= p * scenario.algebroid.rank
+        assert all(any(left is action for action in actions) for left in left_factors)
+
+    def test_descend_at_p61_passes_the_oracle(self, tmp_path):
+        report, code = run_scenario(crystalline_1d_at(tmp_path, 61), "descend")
+        assert code == EXIT_OK
+        checks = {c.name: c.passed for c in report.checks}
+        assert checks["pcurvature.abstract_action_oracle"]

@@ -320,7 +320,32 @@ class TestDerive:
                 assert (f * g).derive(j) == f.derive(j) * g + f * g.derive(j)
 
 
+@st.composite
+def derivations_and_polys(draw):
+    """A derivation of F_p[x, y, z] (first 1-3 coordinates) whose components
+    are each 1, another constant, 0 or a random polynomial, and a random
+    polynomial to apply it to."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    R = ring(p, ("x", "y", "z")[: draw(st.integers(1, 3))])
+    exponents = st.tuples(*[st.integers(0, 4)] * R.nvars)
+    polys = st.dictionaries(exponents, st.integers(1, p - 1), max_size=4).map(
+        lambda terms: Poly(R, terms)
+    )
+    constants = st.integers(0, p - 1).map(R.constant)
+    components = [draw(st.just(R.one()) | constants | polys) for _ in range(R.nvars)]
+    return Derivation(R, components), draw(polys)
+
+
 class TestDerivation:
+    @settings(max_examples=80, deadline=None)
+    @given(derivations_and_polys())
+    def test_action_is_sum_of_component_times_partial(self, case):
+        nu, f = case
+        expected = f.ring.zero()
+        for j, comp in enumerate(nu.components):
+            expected = expected + comp * f.derive(j)
+        assert nu(f) == expected
+
     def test_coordinate_field(self):
         R = ring(3)
         d = Derivation.coordinate(R, 0)

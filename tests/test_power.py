@@ -1,5 +1,8 @@
-"""The shared square-and-multiply loop, :func:`pcurv.poly.power`, checked on
-every element type that uses it against the plain k-fold product."""
+"""The two power loops, checked on every element type that uses them
+against the plain k-fold product: :func:`pcurv.poly.power`
+(square-and-multiply) behind polynomials and polynomial matrices, and
+:func:`pcurv.poly.left_power` (one left factor at a time) behind operators
+and matrices of operators, where ``power`` serves as the named oracle."""
 
 import functools
 import operator
@@ -10,8 +13,16 @@ from hypothesis import strategies as st
 
 from pcurv import operators as ops
 from pcurv.algebroid import tangent_algebroid
-from pcurv.connection import ConnectionModule, MatrixDiffOp, identity_matrix, mat_mul, mat_pow
-from pcurv.poly import Poly, PolyRing, PrimeField
+from pcurv.connection import (
+    ConnectionModule,
+    MatrixDiffOp,
+    identity_matrix,
+    mat_mul,
+    mat_pow,
+    represent_operator,
+)
+from pcurv.poly import Poly, PolyRing, PrimeField, left_power, power
+from test_operators import AFFINE
 
 exponents = st.integers(0, 8)
 
@@ -64,7 +75,8 @@ def test_poly_power(f, k):
 @settings(max_examples=40, deadline=None)
 @given(operators(), exponents)
 def test_operator_power(x, k):
-    assert x**k == fold(x, k, ops.one(x.algebroid))
+    one = ops.one(x.algebroid)
+    assert x**k == fold(x, k, one) == power(x, k, one)
 
 
 @settings(max_examples=30, deadline=None)
@@ -85,7 +97,40 @@ def test_mat_pow(case, k):
 @settings(max_examples=20, deadline=None)
 @given(generator_actions(), exponents)
 def test_matrix_operator_power(op, k):
-    assert op**k == fold(op, k, MatrixDiffOp.identity(op.weyl, op.rank))
+    one = MatrixDiffOp.identity(op.weyl, op.rank)
+    assert op**k == fold(op, k, one) == power(op, k, one)
+
+
+@st.composite
+def affine_modules(draw):
+    """A rank <= 2 module with random (not necessarily flat) matrices over
+    the two-generator presentation e1 = d/dx, e2 = x d/dx of
+    ``test_operators``, and an element of filtration degree <= 4 there."""
+    A = AFFINE[draw(st.sampled_from(sorted(AFFINE)))]
+    r = draw(st.integers(1, 2))
+    matrices = tuple(
+        tuple(tuple(poly_in(draw, A.ring, 2, 2) for _ in range(r)) for _ in range(r))
+        for _ in range(2)
+    )
+    betas = [(i, j) for i in range(5) for j in range(5 - i)]
+    support = draw(st.sets(st.sampled_from(betas), min_size=1, max_size=3))
+    terms = {beta: poly_in(draw, A.ring, 2, 2) for beta in support}
+    op = ops.OperatorElement(A, {b: f for b, f in terms.items() if f})
+    return ConnectionModule(A, r, matrices), op
+
+
+@settings(max_examples=30, deadline=None)
+@given(affine_modules())
+def test_represent_operator_words(case):
+    """Each normal-form word f e1^i e2^j acts as f (nabla_1)^i (nabla_2)^j,
+    with the powers taken by square-and-multiply."""
+    M, op = case
+    one = MatrixDiffOp.identity(M.weyl, M.rank)
+    expected = one - one
+    for (i, j), f in op.terms.items():
+        word = power(M.actions[0], i, one) * power(M.actions[1], j, one)
+        expected = expected + word.scale(f)
+    assert represent_operator(M, op) == expected
 
 
 def test_negative_exponents_raise():
@@ -98,3 +143,6 @@ def test_negative_exponents_raise():
             element ** -1
     with pytest.raises(ValueError, match="negative exponent"):
         mat_pow(((x,),), -1, R)
+    for loop in (power, left_power):
+        with pytest.raises(ValueError, match="negative exponent"):
+            loop(x, -1, R.one())
