@@ -55,7 +55,7 @@ from operator import add, mul
 
 from . import operators as ops
 from .algebroid import AlgebroidPresentation, tangent_algebroid
-from .poly import Poly, PolyRing, left_power, power
+from .poly import Poly, PolyRing, kronecker_mat_mul, left_power, power
 from .report import ValidationReport
 
 # -- exact matrix helpers -----------------------------------------------------
@@ -87,6 +87,16 @@ def mat_scale(f: Poly, a):
 
 
 def mat_mul(a, b):
+    """The matrix product a . b.  Polynomial matrices of rank above 1 over
+    a one-variable ring go through :func:`~pcurv.poly.kronecker_mat_mul`,
+    one big-int product per entry pair, with a digit width that no
+    coefficient of the result can carry out of.  Every other case
+    (operator entries, multivariate rings, 1 x 1 matrices) is the
+    row-by-column dot product of the entries' own * and +: at rank 1 a
+    matrix product is one polynomial product, which packing only slows."""
+    corner = a[0][0]
+    if len(a) > 1 and isinstance(corner, Poly) and corner.ring.nvars == 1:
+        return kronecker_mat_mul(a, b)
     columns = tuple(zip(*b))
     return tuple(tuple(reduce(add, map(mul, row, col)) for col in columns) for row in a)
 

@@ -18,10 +18,11 @@ so that
 
 No field ever carries into the next: every way in, from exponent tuples
 (:class:`Poly`, :meth:`PolyRing.monomial`, :meth:`Poly.map_to`) and from
-the degree-raising operations (``*``, ``**``, :meth:`Poly.frobenius`),
-checks the total degree against ``DEGREE_LIMIT`` first and raises
-:class:`ResourceLimitError` above it; every exponent is then at most the
-total degree, which fits in ``FIELD_BITS``.  ``Poly.terms`` shows the same
+the degree-raising operations (``*``, ``**``, :meth:`Poly.frobenius`,
+:func:`kronecker_mat_mul`), checks the total degree against
+``DEGREE_LIMIT`` first and raises :class:`ResourceLimitError` above it;
+every exponent is then at most the total degree, which fits in
+``FIELD_BITS``.  ``Poly.terms`` shows the same
 terms keyed by exponent tuples:
 
     2*x*y + 4*y   over F_5, variables (x, y)
@@ -386,6 +387,11 @@ class Poly:
             return NotImplemented
         self._check_ring(other)
         big, small = self._terms, other._terms
+        # Values are immutable, so a product by 1 can be the other factor.
+        if small == _UNIT:
+            return self
+        if big == _UNIT:
+            return other
         if not big or not small:
             return _poly(self.ring, {})
         # Within the bound every exponent fits its field, so adding keys
@@ -764,6 +770,57 @@ def parse_poly(src: str, ring: PolyRing) -> Poly:
     if parser.pos != len(src):
         parser.error("trailing input")
     return value
+
+
+def kronecker_mat_mul(a, b):
+    """The matrix product a . b of two matrices of polynomials over one
+    one-variable ring, by Kronecker substitution (Harvey, *Faster
+    polynomial multiplication via multipoint Kronecker substitution*,
+    J. Symb. Comput. 2009): each entry sum c_e x^e becomes the int
+    sum c_e 2^(w e), each result entry is one integer dot product of a row
+    with a column, and its base-2^w digits, reduced mod p, are the result's
+    coefficients.
+
+    No digit carries into the next: a coefficient of a result entry sums
+    at most r (min(d_a, d_b) + 1) products of two coefficients in 0..p-1,
+    where r is the inner dimension and d_a, d_b are the largest entry
+    degrees of a and b.  The width w is the least whole number of bytes
+    with 2^w > r (min(d_a, d_b) + 1) (p - 1)^2.
+
+    The checks are those of ``Poly.__mul__``: entries from different rings
+    raise ValueError, and d_a + d_b above ``DEGREE_LIMIT`` raises
+    :class:`ResourceLimitError` before any int is built."""
+    ring = a[0][0].ring
+    if ring.nvars != 1:
+        raise ValueError("Kronecker substitution needs a one-variable ring")
+    if any(x.ring is not ring and x.ring != ring for m in (a, b) for row in m for x in row):
+        raise ValueError("polynomials from different rings")
+    da = max(x.total_degree() for row in a for x in row)
+    db = max(x.total_degree() for row in b for x in row)
+    if da + db > DEGREE_LIMIT:
+        raise ResourceLimitError("product degree exceeds the configured bound")
+    p, step = ring.p, ring._steps[0]
+    nbytes = ((len(b) * (min(da, db) + 1) * (p - 1) ** 2).bit_length() + 7) // 8 or 1
+    w = 8 * nbytes
+
+    def pack(f):
+        # In a one-variable ring exponent e has the key e * step.
+        return sum(c << w * (key // step) for key, c in f._terms.items())
+
+    def unpack(n):
+        digits = n.to_bytes((n.bit_length() + w - 1) // w * nbytes, "little")
+        from_bytes = int.from_bytes
+        return _poly(ring, {
+            e * step: c
+            for e, i in enumerate(range(0, len(digits), nbytes))
+            if (c := from_bytes(digits[i : i + nbytes], "little") % p)
+        })
+
+    rows = [[pack(x) for x in row] for row in a]
+    columns = [[pack(x) for x in column] for column in zip(*b)]
+    return tuple(
+        tuple(unpack(sum(map(operator.mul, row, column))) for column in columns) for row in rows
+    )
 
 
 def det(matrix) -> Poly:

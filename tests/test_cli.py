@@ -1,5 +1,6 @@
 import json
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -22,7 +23,8 @@ from pcurv.cli import (
     main,
     run_scenario,
 )
-from pcurv.poly import ResourceLimitError
+from pcurv.panels import poly_panel
+from pcurv.poly import Poly, ResourceLimitError
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -421,6 +423,68 @@ class TestStageCounts:
         traced = ("connection.flatness", "hitchin.charpoly", "hitchin.invariants")
         assert {name: tracer.stats[name].calls for name in traced} == dict.fromkeys(traced, modules)
         assert counts == {"check_higgs_commutativity": modules, "tangent_algebroid": weyl_builds}
+
+
+def line_module_doc(p, rank, coordinates, seed=0):
+    """A one-generator module on affine space, generated as the benchmark's
+    line workload is: every matrix entry is c0 + c1*x, c0 and c1 nonzero."""
+    rng = random.Random(seed)
+    matrix = [
+        [f"{rng.randrange(1, p)} + {rng.randrange(1, p)}*x" for _ in range(rank)] for _ in range(rank)
+    ]
+    algebroid = {
+        "rank": 1,
+        "bracket": [[["0"]]],
+        "anchor": [["1"] + ["0"] * (len(coordinates) - 1)],
+        "p_op": [["0"]],
+    }
+    return minimal_doc(
+        p=p, coordinates=coordinates, algebroid=algebroid, module={"rank": rank, "matrices": [matrix]}
+    )
+
+
+class TestMatMulCost:
+    """Polynomial matrix products of rank above 1 over a one-variable ring
+    are one big-int product per entry pair (poly.kronecker_mat_mul): none
+    of the products inside mat_mul go through Poly.__mul__.  Rank 1 and
+    multivariate rings keep the entrywise product."""
+
+    @pytest.mark.parametrize(
+        "rank, coordinates, entrywise",
+        [(3, ["x"], False), (1, ["x"], True), (3, ["x", "y"], True)],
+    )
+    def test_p_linearity_matrix_products(self, tmp_path, monkeypatch, rank, coordinates, entrywise):
+        p = 7
+        scenario = load_scenario(write_scenario(tmp_path, line_module_doc(p, rank, coordinates)))
+        C = connection.p_curvature(scenario.module, scenario.structure)
+        panel = poly_panel(C.ring, 2, seed=0, max_degree=2)
+        counts = Counter()
+        poly_mul, mat_mul = Poly.__mul__, connection.mat_mul
+        inside = []
+
+        def counted_poly_mul(x, y):
+            counts["poly_mul_in_mat_mul" if inside else "poly_mul"] += 1
+            return poly_mul(x, y)
+
+        def counted_mat_mul(a, b):
+            counts["mat_mul"] += 1
+            inside.append(True)
+            try:
+                return mat_mul(a, b)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Poly, "__mul__", counted_poly_mul)
+        monkeypatch.setattr(Poly, "__rmul__", counted_poly_mul)
+        monkeypatch.setattr(connection, "mat_mul", counted_mat_mul)
+        assert connection.check_p_linearity(C, panel).passed
+        # One product B . X_k per recurrence step, p - 1 steps per element.
+        assert counts["mat_mul"] == len(panel) * (p - 1)
+        assert counts["poly_mul"] > 0
+        if entrywise:
+            assert counts["poly_mul_in_mat_mul"] >= counts["mat_mul"] * rank**3
+        else:
+            assert counts["poly_mul_in_mat_mul"] == 0
 
 
 def crystalline_1d_at(tmp_path, p):

@@ -1,5 +1,8 @@
 import itertools
 import random
+import tracemalloc
+from functools import reduce
+from operator import add, mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +18,7 @@ from pcurv.poly import (
     PrimeField,
     ResourceLimitError,
     det,
+    kronecker_mat_mul,
     parse_poly,
 )
 
@@ -160,6 +164,17 @@ class TestPackedKernel:
         assert dict((-f).terms) == {e: p - c for e, c in F.items()}
         for j in range(f.ring.nvars):
             assert dict(f.derive(j).terms) == tuple_derive(p, F, j)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_pairs())
+    def test_products_by_one_match_tuple_oracle(self, pair):
+        f, g = pair
+        p, one = f.ring.p, f.ring.one()
+        F, G, ONE = dict(f.terms), dict(g.terms), dict(one.terms)
+        for product in (f * one, one * f, f * 1, 1 * f):
+            assert dict(product.terms) == tuple_mul(p, F, ONE)
+        assert dict((one * one).terms) == ONE
+        assert dict((f * g).terms) == tuple_mul(p, F, G)
 
     @settings(max_examples=200, deadline=None)
     @given(kernel_pairs())
@@ -555,6 +570,74 @@ class TestDet:
     @given(square_matrices())
     def test_against_permutation_expansion_random(self, m):
         assert det(m) == leibniz_det(m)
+
+
+def entrywise_mat_mul(a, b):
+    """The oracle of the Kronecker kernel: each result entry is the sum of
+    the entry products of a row and a column, through Poly's own * and +."""
+    return tuple(tuple(reduce(add, map(mul, row, col)) for col in zip(*b)) for row in a)
+
+
+@st.composite
+def line_matrix_pairs(draw):
+    """Two random r x r matrices over F_p[x], r in 1..6, entries of degree
+    up to 40; entries, and whole matrices, may be zero."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13, 101]))
+    r = draw(st.integers(1, 6))
+    R = ring(p)
+    d = draw(st.integers(0, 40))
+    terms = st.dictionaries(st.tuples(st.integers(0, d)), st.integers(0, p - 1), max_size=d + 1)
+    entries = st.just({}) | terms if draw(st.booleans()) else terms
+    return tuple(
+        tuple(tuple(Poly(R, draw(entries)) for _ in range(r)) for _ in range(r)) for _ in range(2)
+    )
+
+
+class TestKroneckerMatMul:
+    @settings(max_examples=100, deadline=None)
+    @given(line_matrix_pairs())
+    def test_matches_entrywise_oracle(self, pair):
+        a, b = pair
+        zero = tuple(tuple(x.ring.zero() for x in row) for row in a)
+        assert kronecker_mat_mul(a, b) == entrywise_mat_mul(a, b)
+        assert kronecker_mat_mul(zero, b) == zero == kronecker_mat_mul(a, zero)
+
+    @pytest.mark.parametrize(
+        "p, r, d", [(2, 5, 50), (3, 4, 15), (5, 6, 9), (13, 3, 1), (101, 6, 5), (101, 1, 40)]
+    )
+    def test_worst_case_digit_does_not_carry(self, p, r, d):
+        """Dense entries with every coefficient p - 1: the coefficient of
+        x^d in every result entry is r (d + 1) (p - 1)^2, the bound the
+        digit width is chosen for (255 fits one byte at p = 2, r = 5,
+        d = 50; 256 does not at p = 3, r = 4, d = 15)."""
+        R = ring(p)
+        f = Poly(R, {(e,): p - 1 for e in range(d + 1)})
+        a = tuple(tuple(f for _ in range(r)) for _ in range(r))
+        product = kronecker_mat_mul(a, a)
+        assert product == entrywise_mat_mul(a, a)
+        assert product[0][0].terms.get((d,), 0) == r * (d + 1) * (p - 1) ** 2 % p
+
+    def test_entries_from_different_rings_raise(self):
+        x3, x5 = ring(3).variable("x"), ring(5).variable("x")
+        with pytest.raises(ValueError, match="different rings"):
+            kronecker_mat_mul(((x3, x3), (x3, x3)), ((x3, x3), (x3, x5)))
+        xy = ring(3, ("x", "y")).variable("x")
+        with pytest.raises(ValueError, match="one-variable"):
+            kronecker_mat_mul(((xy,),), ((xy,),))
+
+    def test_degree_past_the_bound_raises_before_packing(self):
+        R = ring(3)
+        big = R.monomial((DEGREE_LIMIT // 2 + 1,))
+        a = ((big, R.one()), (R.zero(), big))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="product degree exceeds"):
+                kronecker_mat_mul(a, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One packed entry would take 3 bytes per degree, about 1.5 MB.
+        assert peak < 100_000
 
 
 def leibniz_det(m):
