@@ -19,11 +19,11 @@ so that
 No field ever carries into the next: every way in, from exponent tuples
 (:class:`Poly`, :meth:`PolyRing.monomial`, :meth:`Poly.map_to`) and from
 the degree-raising operations (``*``, ``**``, :meth:`Poly.frobenius`,
-:func:`kronecker_mat_mul`), checks the total degree against
-``DEGREE_LIMIT`` first and raises :class:`ResourceLimitError` above it;
-every exponent is then at most the total degree, which fits in
-``FIELD_BITS``.  ``Poly.terms`` shows the same
-terms keyed by exponent tuples:
+:func:`kronecker_mat_mul`, :func:`charpoly_coefficients`), checks the
+total degree against ``DEGREE_LIMIT`` first and raises
+:class:`ResourceLimitError` above it; every exponent is then at most the
+total degree, which fits in ``FIELD_BITS``.  ``Poly.terms`` shows the
+same terms keyed by exponent tuples:
 
     2*x*y + 4*y   over F_5, variables (x, y)
         ->  terms {(1, 1): 2, (0, 1): 4}
@@ -54,7 +54,9 @@ A single leading sign is also accepted on input.
 
 from __future__ import annotations
 
+import math
 import operator
+import struct
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -67,6 +69,9 @@ FIELD_BITS = DEGREE_LIMIT.bit_length()
 FIELD_MASK = (1 << FIELD_BITS) - 1
 # The packed terms of the polynomial 1: the unit monomial packs to key 0.
 _UNIT = {0: 1}
+# struct codes of the little-endian unsigned ints: packed digits of these
+# byte widths convert in C.
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 class ResourceLimitError(RuntimeError):
@@ -772,6 +777,65 @@ def parse_poly(src: str, ring: PolyRing) -> Poly:
     return value
 
 
+def _pack_first(f: Poly, w: int) -> dict:
+    """f as a map from the packed key of each monomial's part without the
+    first variable x to one int: sum c_e 2^(w e) over the x-degrees e of
+    the terms with that part.  In a one-variable ring the only key is 0."""
+    offset, step = f.ring._offsets[0], f.ring._steps[0]
+    out = {}
+    for key, c in f._terms.items():
+        e = (key >> offset) & FIELD_MASK
+        rest = key - e * step
+        out[rest] = out.get(rest, 0) | c << w * e
+    return out
+
+
+def _digits(n: int, nbytes: int):
+    """The base-2^(8 nbytes) digits of the int n >= 0, lowest first."""
+    data = n.to_bytes(-(-n.bit_length() // (8 * nbytes)) * nbytes, "little")
+    if nbytes in _FORMATS:
+        return struct.unpack(f"<{len(data) // nbytes}{_FORMATS[nbytes]}", data)
+    return [int.from_bytes(data[i : i + nbytes], "little") for i in range(0, len(data), nbytes)]
+
+
+def _from_digits(digits: list, nbytes: int) -> int:
+    """The int with these base-2^(8 nbytes) digits, lowest first."""
+    if nbytes in _FORMATS:
+        return int.from_bytes(struct.pack(f"<{len(digits)}{_FORMATS[nbytes]}", *digits), "little")
+    return int.from_bytes(b"".join(d.to_bytes(nbytes, "little") for d in digits), "little")
+
+
+def _unpack_first(ring: PolyRing, packed: dict, nbytes: int) -> Poly:
+    """The polynomial whose coefficients are the digits of ``packed``, as
+    :func:`_pack_first` lays them out, reduced mod p."""
+    p, step = ring.p, ring._steps[0]
+    return _poly(ring, {
+        rest + e * step: c
+        for rest, n in packed.items()
+        for e, digit in enumerate(_digits(n, nbytes))
+        if (c := digit % p)
+    })
+
+
+def _packed_sum(pairs, nbytes: int, p: int, sign: int = 1) -> dict:
+    """sign * sum a * b over the pairs of packed entries, reduced mod p:
+    one int product per pair of keys, then one reduction per key.  The
+    sign is applied at the reduction, so every packed int is nonnegative."""
+    acc = {}
+    get = acc.get
+    for a, b in pairs:
+        for ka, na in a.items():
+            for kb, nb in b.items():
+                k = ka + kb
+                acc[k] = get(k, 0) + na * nb
+    out = {}
+    for k, n in acc.items():
+        digits = [sign * d % p for d in _digits(n, nbytes)]
+        if any(digits):
+            out[k] = _from_digits(digits, nbytes)
+    return out
+
+
 def kronecker_mat_mul(a, b):
     """The matrix product a . b of two matrices of polynomials over one
     one-variable ring, by Kronecker substitution (Harvey, *Faster
@@ -799,50 +863,95 @@ def kronecker_mat_mul(a, b):
     db = max(x.total_degree() for row in b for x in row)
     if da + db > DEGREE_LIMIT:
         raise ResourceLimitError("product degree exceeds the configured bound")
-    p, step = ring.p, ring._steps[0]
-    nbytes = ((len(b) * (min(da, db) + 1) * (p - 1) ** 2).bit_length() + 7) // 8 or 1
+    nbytes = ((len(b) * (min(da, db) + 1) * (ring.p - 1) ** 2).bit_length() + 7) // 8 or 1
     w = 8 * nbytes
-
-    def pack(f):
-        # In a one-variable ring exponent e has the key e * step.
-        return sum(c << w * (key // step) for key, c in f._terms.items())
-
-    def unpack(n):
-        digits = n.to_bytes((n.bit_length() + w - 1) // w * nbytes, "little")
-        from_bytes = int.from_bytes
-        return _poly(ring, {
-            e * step: c
-            for e, i in enumerate(range(0, len(digits), nbytes))
-            if (c := from_bytes(digits[i : i + nbytes], "little") % p)
-        })
-
-    rows = [[pack(x) for x in row] for row in a]
-    columns = [[pack(x) for x in column] for column in zip(*b)]
+    rows = [[_pack_first(x, w).get(0, 0) for x in row] for row in a]
+    columns = [[_pack_first(x, w).get(0, 0) for x in column] for column in zip(*b)]
     return tuple(
-        tuple(unpack(sum(map(operator.mul, row, column))) for column in columns) for row in rows
+        tuple(
+            _unpack_first(ring, {0: sum(map(operator.mul, row, column))}, nbytes)
+            for column in columns
+        )
+        for row in rows
     )
 
 
-def det(matrix) -> Poly:
-    """Exact determinant of a square matrix of polynomials, by cofactor
-    expansion along the first row.  Intended for the small matrices that
-    arise here (rank at most a handful)."""
+def charpoly_coefficients(matrix) -> list:
+    """The coefficients c_0 = 1, c_1, ..., c_n of det(lam I - M) =
+    sum_k c_k lam^(n-k), for a square matrix M of polynomials over one
+    ring, by Berkowitz's division-free algorithm (S. J. Berkowitz, IPL 18,
+    1984): O(n^4) entry products and no lam variable.  With q the
+    coefficients for a leading block A and s_j = r A^j c,
+
+        det(lam I - [[A, c], [r, a]])
+            = (lam - a) det(lam I - A) - r adj(lam I - A) c
+
+    gives those of the next block as the Toeplitz product
+    c_m = sum_l t_l q_(m-l), with t = (1, -a, -s_0, -s_1, ...).
+
+    Entries are packed by the first variable x as in
+    :func:`kronecker_mat_mul`, one int per monomial in the other variables
+    (a key).  Each dot product and Toeplitz sum is reduced mod p once, and
+    signs are applied then (:func:`_packed_sum`).  The width: every value
+    formed is a product of j entries, of x-degree at most j d with at most
+    C(s + j - 1, j) keys (d the largest x-degree and s the number of
+    distinct keys among the entries).  A sum has at most n products, each
+    with a factor of j <= h = floor(n / 2) entries, so a digit of one
+    product sums over at most C(s + h - 1, h) key pairs at most h d + 1
+    products of digits below p, and no digit of an unreduced sum exceeds
+
+        n C(s + h - 1, h) (h d + 1) (p - 1)^2;
+
+    w is the least whole number of bytes above that.
+
+    Entries from different rings raise ValueError, and n times the largest
+    entry degree above ``DEGREE_LIMIT`` raises :class:`ResourceLimitError`
+    before any int is built."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
     if n == 0:
         raise ValueError("empty matrix")
-    if n == 1:
-        return matrix[0][0]
     ring = matrix[0][0].ring
-    total = ring.zero()
-    for j in range(n):
-        entry = matrix[0][j]
-        if entry.is_zero():
-            continue
-        minor = [
-            [matrix[i][k] for k in range(n) if k != j] for i in range(1, n)
+    if any(x.ring is not ring and x.ring != ring for row in matrix for x in row):
+        raise ValueError("polynomials from different rings")
+    if n * max(x.total_degree() for row in matrix for x in row) > DEGREE_LIMIT:
+        raise ResourceLimitError("product degree exceeds the configured bound")
+    offset, step = ring._offsets[0], ring._steps[0]
+    rests, d = set(), 0
+    for row in matrix:
+        for x in row:
+            for key in x._terms:
+                e = (key >> offset) & FIELD_MASK
+                rests.add(key - e * step)
+                d = max(d, e)
+    # No digit of an unreduced sum exceeds n products, times C(s + h - 1, h)
+    # key pairs on one key, times (h d + 1) (p - 1)^2, as derived above.
+    p, h = ring.p, n // 2
+    bound = n * math.comb(max(len(rests), 1) + h - 1, h) * (h * d + 1) * (p - 1) ** 2
+    nbytes = (bound.bit_length() + 7) // 8 or 1
+    w = 8 * nbytes
+    m = [[_pack_first(x, w) for x in row] for row in matrix]
+    one = {0: 1}  # the polynomial 1: key 0, x-degree 0
+    q = [one]
+    for k in range(n):
+        # The block [[A, c], [r, a]] of size k + 1; q holds det(lam I - A).
+        columns = list(zip(*(row[:k] for row in m[:k])))
+        r, c = m[k][:k], [row[k] for row in m[:k]]
+        t = [one, _pack_first(-matrix[k][k], w)]
+        for j in range(k):
+            if j:
+                r = [_packed_sum(zip(r, col), nbytes, p) for col in columns]
+            t.append(_packed_sum(zip(r, c), nbytes, p, -1))
+        q = [
+            _packed_sum(((t[l], q[i - l]) for l in range(max(0, i - k), i + 1)), nbytes, p)
+            for i in range(k + 2)
         ]
-        cofactor = entry * det(minor)
-        total = total + (cofactor if j % 2 == 0 else -cofactor)
-    return total
+    return [_unpack_first(ring, packed, nbytes) for packed in q]
+
+
+def det(matrix) -> Poly:
+    """Exact determinant of a square matrix of polynomials: (-1)^n c_n of
+    :func:`charpoly_coefficients`, with no division."""
+    c = charpoly_coefficients(matrix)[-1]
+    return -c if len(matrix) % 2 else c

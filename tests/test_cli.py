@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import random
 import re
@@ -9,7 +10,7 @@ from collections import Counter
 import pytest
 from test_bench_tracer import load_tracing
 
-from pcurv import algebroid, connection
+from pcurv import algebroid, connection, hitchin, poly
 from pcurv.cli import (
     EXIT_INPUT_ERROR,
     EXIT_MATH_FAILURE,
@@ -246,14 +247,22 @@ class TestGoldenReports:
             ("broken_axioms.validate.json", ["validate", str(GOLDEN / "broken_axioms.json")]),
             ("identities_p3_n2.json", ["identities", "--p", "3", "--n", "2"]),
             ("higgs_wide_p5.descend.json", ["descend", str(GOLDEN / "higgs_wide_p5.json")]),
+            ("dense_higgs_rank8.hitchin.json", ["hitchin", str(GOLDEN / "dense_higgs_rank8.json")]),
         ],
-        ids=["broken_axioms.validate", "identities_p3_n2", "higgs_wide_p5.descend"],
+        ids=[
+            "broken_axioms.validate",
+            "identities_p3_n2",
+            "higgs_wide_p5.descend",
+            "dense_higgs_rank8.hitchin",
+        ],
     )
     def test_failing_and_battery_reports_match_golden(self, capsys, golden, argv):
         """Pins the witnesses of failing checks (cut-offs of all, 1 and 2
-        failures), the full identity battery, and a big multivariate path:
-        the seed-0 p = 5 ``higgs_wide`` benchmark input, whose
-        characteristic polynomial has hundreds of terms in five variables."""
+        failures), the full identity battery, a big multivariate path (the
+        seed-0 p = 5 ``higgs_wide`` benchmark input, whose characteristic
+        polynomial has hundreds of terms in five variables) and a dense
+        rank-8 one-field Higgs module over F_3[x], a rank where cofactor
+        expansion took seconds."""
         expected = (GOLDEN / golden).read_text(encoding="utf-8")
         code = main([*argv, "--format", "json"])
         assert capsys.readouterr().out == expected
@@ -485,6 +494,66 @@ class TestMatMulCost:
             assert counts["poly_mul_in_mat_mul"] >= counts["mat_mul"] * rank**3
         else:
             assert counts["poly_mul_in_mat_mul"] == 0
+
+
+def dense_higgs_doc(p, rank, seed=0):
+    """A one-field Higgs module on the line (zero anchor) with a dense
+    matrix: every entry is c0*x + c1, c0 and c1 nonzero."""
+    rng = random.Random(seed)
+    matrix = [
+        [f"{rng.randrange(1, p)}*x + {rng.randrange(1, p)}" for _ in range(rank)] for _ in range(rank)
+    ]
+    algebroid = {"rank": 1, "bracket": [[["0"]]], "anchor": [["0"]], "p_op": [["0"]]}
+    return minimal_doc(p=p, algebroid=algebroid, module={"rank": rank, "matrices": [matrix]})
+
+
+class TestCharpolyCost:
+    """The characteristic polynomial costs O(r^4) packed entry products
+    (Berkowitz), where cofactor expansion took r!: a dense rank-12 module
+    passes ``hitchin``, and none of the products inside
+    poly.charpoly_coefficients go through Poly.__mul__."""
+
+    def test_entry_products_grow_polynomially_in_the_rank(self, tmp_path, monkeypatch, capsys):
+        counts = Counter()
+        packed_sum, poly_mul = poly._packed_sum, Poly.__mul__
+        charpoly = poly.charpoly_coefficients
+        inside = []
+
+        def counted_sum(pairs, *args):
+            pairs = list(pairs)
+            counts["packed"] += len(pairs)
+            return packed_sum(pairs, *args)
+
+        def counted_poly_mul(x, y):
+            counts["poly_mul_inside"] += bool(inside)
+            return poly_mul(x, y)
+
+        def counted_charpoly(matrix):
+            inside.append(True)
+            try:
+                return charpoly(matrix)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(poly, "_packed_sum", counted_sum)
+        monkeypatch.setattr(Poly, "__mul__", counted_poly_mul)
+        monkeypatch.setattr(Poly, "__rmul__", counted_poly_mul)
+        monkeypatch.setattr(hitchin, "charpoly_coefficients", counted_charpoly)
+        products = {}
+        for rank in (4, 8, 12):
+            path = write_scenario(tmp_path, dense_higgs_doc(3, rank), name=f"dense{rank}.json")
+            counts.clear()
+            assert main(["hitchin", path, "--format", "json"]) == EXIT_OK
+            assert json.loads(capsys.readouterr().out)["passed"]
+            assert counts["poly_mul_inside"] == 0
+            products[rank] = counts["packed"]
+        # Growing the leading block from size k to k + 1 takes k^3 products
+        # for r A^j c (j < k) and k + 1 + (k + 1)(k + 2) / 2 for the
+        # Toeplitz sums: about r^4 / 4 in all, where 12! is about 4.8e8.
+        assert products == {
+            r: (r * (r - 1) // 2) ** 2 + math.comb(r + 2, 3) + r * (r + 1) // 2 for r in products
+        }
+        assert products[12] == 4798
 
 
 def crystalline_1d_at(tmp_path, p):

@@ -17,6 +17,7 @@ from pcurv.poly import (
     PolyRing,
     PrimeField,
     ResourceLimitError,
+    charpoly_coefficients,
     det,
     kronecker_mat_mul,
     parse_poly,
@@ -570,6 +571,95 @@ class TestDet:
     @given(square_matrices())
     def test_against_permutation_expansion_random(self, m):
         assert det(m) == leibniz_det(m)
+
+
+@st.composite
+def charpoly_matrices(draw):
+    """A random n x n polynomial matrix, n in 1..5, over F_p with 1-3
+    coordinates, with or without a deformation variable t."""
+    p = draw(st.sampled_from([3, 5, 7, 101]))
+    names = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    R = ring(p, names + ("t",), "t") if draw(st.booleans()) else ring(p, names)
+    n = draw(st.integers(1, 5))
+    exponents = st.tuples(*[st.integers(0, 2)] * R.nvars)
+    entries = st.dictionaries(exponents, st.integers(1, p - 1), max_size=3)
+    return [[Poly(R, draw(entries)) for _ in range(n)] for _ in range(n)]
+
+
+def charpoly_oracle(m):
+    """det(lam I - M) by Leibniz, over the ring with lam adjoined, and the
+    polynomial sum_k c_k lam^(n-k) built from ``charpoly_coefficients``."""
+    n = len(m)
+    ext, (name,) = m[0][0].ring.adjoin("lam")
+    lam = ext.variable(name)
+    shifted = [
+        [(lam if i == j else ext.zero()) - x.map_to(ext) for j, x in enumerate(row)]
+        for i, row in enumerate(m)
+    ]
+    coefficients = charpoly_coefficients(m)
+    assert len(coefficients) == n + 1 and coefficients[0] == m[0][0].ring.one()
+    expanded = reduce(add, (c.map_to(ext) * lam ** (n - k) for k, c in enumerate(coefficients)))
+    return expanded, leibniz_det(shifted)
+
+
+class TestCharpolyCoefficients:
+    @settings(max_examples=80, deadline=None)
+    @given(charpoly_matrices())
+    def test_det_and_charpoly_match_leibniz_oracle(self, m):
+        assert det(m) == leibniz_det(m)
+        expanded, oracle = charpoly_oracle(m)
+        assert expanded == oracle
+
+    @pytest.mark.parametrize(
+        "p, names, n, d",
+        [
+            (3, ("x",), 6, 6),
+            (3, ("x", "y"), 5, 3),
+            (3, ("x", "y", "z"), 4, 2),
+            (101, ("x",), 5, 8),
+            (101, ("x", "y"), 4, 2),
+            (101, ("x", "y", "z"), 3, 1),
+        ],
+    )
+    def test_worst_case_digits_do_not_carry(self, p, names, n, d):
+        """Dense entries with every coefficient p - 1: entry (i, j) has
+        every monomial of x-degree at most d - (i + j) % 2 and of degree
+        at most (i + 2j) % 3 in each other variable, so the entries differ
+        and the matrix is not of rank 1.  The digit width is derived from
+        the number of keys, the x-degree and p; a width one byte narrower
+        carries on these inputs."""
+        R = ring(p, names)
+
+        def entry(i, j):
+            ranges = [range(d - (i + j) % 2 + 1)] + [range((i + 2 * j) % 3 + 1)] * (R.nvars - 1)
+            return Poly(R, dict.fromkeys(itertools.product(*ranges), p - 1))
+
+        m = [[entry(i, j) for j in range(n)] for i in range(n)]
+        assert det(m) == leibniz_det(m)
+        expanded, oracle = charpoly_oracle(m)
+        assert expanded == oracle
+
+    def test_shape_and_ring_errors(self):
+        x, y = ring(3).variable("x"), ring(5).variable("x")
+        with pytest.raises(ValueError, match="not square"):
+            charpoly_coefficients([[x, x]])
+        with pytest.raises(ValueError, match="empty matrix"):
+            charpoly_coefficients([])
+        with pytest.raises(ValueError, match="different rings"):
+            charpoly_coefficients([[x, x], [x, y]])
+
+    def test_degree_past_the_bound_raises_before_packing(self):
+        R = ring(3, ("x", "y"))
+        big = R.monomial((DEGREE_LIMIT // 2, 1))
+        m = [[big, R.one()], [R.zero(), big]]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="product degree exceeds"):
+                charpoly_coefficients(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 def entrywise_mat_mul(a, b):
