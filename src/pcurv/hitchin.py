@@ -33,19 +33,11 @@ from functools import cached_property, reduce
 
 from .algebroid import AlgebroidPresentation, anchor_generic_surjectivity
 from .connection import PCurvature, mat_add, mat_map, mat_scale, mat_trace
-from .poly import (
-    Derivation,
-    NotDescendable,
-    Poly,
-    PolyRing,
-    charpoly_coefficients,
-    render_monomial,
-    render_terms,
-)
+from .poly import Derivation, NotDescendable, Poly, PolyRing, charpoly_coefficients
+from .poly import render_monomial, render_terms
 from .report import ValidationReport
 
-# Not called here any more; bench/selftest.py checks that the benchmark
-# tracer patches this binding of det as well.
+# Unused here; bench/selftest.py checks that the benchmark tracer patches it.
 from .poly import det  # noqa: F401
 
 

@@ -69,8 +69,8 @@ FIELD_BITS = DEGREE_LIMIT.bit_length()
 FIELD_MASK = (1 << FIELD_BITS) - 1
 # The packed terms of the polynomial 1: the unit monomial packs to key 0.
 _UNIT = {0: 1}
-# struct codes of the little-endian unsigned ints: packed digits of these
-# byte widths convert in C.
+# struct codes of little-endian unsigned ints: digits of these byte widths
+# (every benchmark workload packs at 1 or 2) convert in C, not one by one.
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
@@ -790,37 +790,37 @@ def _pack_first(f: Poly, w: int) -> dict:
     return out
 
 
-def _digits(n: int, nbytes: int):
-    """The base-2^(8 nbytes) digits of the int n >= 0, lowest first."""
+def _digits(n: int, nbytes: int, p: int) -> list:
+    """The base-2^(8 nbytes) digits of the int n >= 0, lowest first, each
+    reduced mod p."""
     data = n.to_bytes(-(-n.bit_length() // (8 * nbytes)) * nbytes, "little")
     if nbytes in _FORMATS:
-        return struct.unpack(f"<{len(data) // nbytes}{_FORMATS[nbytes]}", data)
-    return [int.from_bytes(data[i : i + nbytes], "little") for i in range(0, len(data), nbytes)]
+        return [d % p for d in struct.unpack(f"<{len(data) // nbytes}{_FORMATS[nbytes]}", data)]
+    return [int.from_bytes(data[i : i + nbytes], "little") % p for i in range(0, len(data), nbytes)]
 
 
 def _from_digits(digits: list, nbytes: int) -> int:
     """The int with these base-2^(8 nbytes) digits, lowest first."""
     if nbytes in _FORMATS:
         return int.from_bytes(struct.pack(f"<{len(digits)}{_FORMATS[nbytes]}", *digits), "little")
-    return int.from_bytes(b"".join(d.to_bytes(nbytes, "little") for d in digits), "little")
+    return int.from_bytes(b"".join([d.to_bytes(nbytes, "little") for d in digits]), "little")
 
 
 def _unpack_first(ring: PolyRing, packed: dict, nbytes: int) -> Poly:
     """The polynomial whose coefficients are the digits of ``packed``, as
     :func:`_pack_first` lays them out, reduced mod p."""
-    p, step = ring.p, ring._steps[0]
+    step = ring._steps[0]
     return _poly(ring, {
         rest + e * step: c
         for rest, n in packed.items()
-        for e, digit in enumerate(_digits(n, nbytes))
-        if (c := digit % p)
+        for e, c in enumerate(_digits(n, nbytes, ring.p))
+        if c
     })
 
 
-def _packed_sum(pairs, nbytes: int, p: int, sign: int = 1) -> dict:
-    """sign * sum a * b over the pairs of packed entries, reduced mod p:
-    one int product per pair of keys, then one reduction per key.  The
-    sign is applied at the reduction, so every packed int is nonnegative."""
+def _packed_sum(pairs, nbytes: int, p: int) -> dict:
+    """sum a * b over the pairs of packed entries, reduced mod p: one int
+    product per pair of keys, then one reduction per key."""
     acc = {}
     get = acc.get
     for a, b in pairs:
@@ -830,7 +830,7 @@ def _packed_sum(pairs, nbytes: int, p: int, sign: int = 1) -> dict:
                 acc[k] = get(k, 0) + na * nb
     out = {}
     for k, n in acc.items():
-        digits = [sign * d % p for d in _digits(n, nbytes)]
+        digits = _digits(n, nbytes, p)
         if any(digits):
             out[k] = _from_digits(digits, nbytes)
     return out
@@ -868,10 +868,7 @@ def kronecker_mat_mul(a, b):
     rows = [[_pack_first(x, w).get(0, 0) for x in row] for row in a]
     columns = [[_pack_first(x, w).get(0, 0) for x in column] for column in zip(*b)]
     return tuple(
-        tuple(
-            _unpack_first(ring, {0: sum(map(operator.mul, row, column))}, nbytes)
-            for column in columns
-        )
+        tuple(_unpack_first(ring, {0: sum(map(operator.mul, row, c))}, nbytes) for c in columns)
         for row in rows
     )
 
@@ -880,29 +877,18 @@ def charpoly_coefficients(matrix) -> list:
     """The coefficients c_0 = 1, c_1, ..., c_n of det(lam I - M) =
     sum_k c_k lam^(n-k), for a square matrix M of polynomials over one
     ring, by Berkowitz's division-free algorithm (S. J. Berkowitz, IPL 18,
-    1984): O(n^4) entry products and no lam variable.  With q the
-    coefficients for a leading block A and s_j = r A^j c,
-
-        det(lam I - [[A, c], [r, a]])
-            = (lam - a) det(lam I - A) - r adj(lam I - A) c
-
-    gives those of the next block as the Toeplitz product
+    1984), with no lam variable: for a leading block A with coefficients q
+    and s_j = r A^j c, det(lam I - [[A, c], [r, a]]) = (lam - a)
+    det(lam I - A) - r adj(lam I - A) c gives those of the next block as
     c_m = sum_l t_l q_(m-l), with t = (1, -a, -s_0, -s_1, ...).
 
-    Entries are packed by the first variable x as in
-    :func:`kronecker_mat_mul`, one int per monomial in the other variables
-    (a key).  Each dot product and Toeplitz sum is reduced mod p once, and
-    signs are applied then (:func:`_packed_sum`).  The width: every value
-    formed is a product of j entries, of x-degree at most j d with at most
-    C(s + j - 1, j) keys (d the largest x-degree and s the number of
-    distinct keys among the entries).  A sum has at most n products, each
-    with a factor of j <= h = floor(n / 2) entries, so a digit of one
-    product sums over at most C(s + h - 1, h) key pairs at most h d + 1
-    products of digits below p, and no digit of an unreduced sum exceeds
-
-        n C(s + h - 1, h) (h d + 1) (p - 1)^2;
-
-    w is the least whole number of bytes above that.
+    Entries are packed by the first variable x (:func:`_pack_first`), and
+    each dot product and Toeplitz sum is reduced mod p once
+    (:func:`_packed_sum`).  The width: a sum has at most n products, each
+    with a factor of j <= h = floor(n / 2) entries, whose x-degree is at
+    most j d and which has at most C(s + j - 1, j) keys (d the largest
+    x-degree, s the number of distinct keys among the entries); so no
+    digit exceeds n C(s + h - 1, h) (h d + 1) (p - 1)^2.
 
     Entries from different rings raise ValueError, and n times the largest
     entry degree above ``DEGREE_LIMIT`` raises :class:`ResourceLimitError`
@@ -917,32 +903,28 @@ def charpoly_coefficients(matrix) -> list:
         raise ValueError("polynomials from different rings")
     if n * max(x.total_degree() for row in matrix for x in row) > DEGREE_LIMIT:
         raise ResourceLimitError("product degree exceeds the configured bound")
-    offset, step = ring._offsets[0], ring._steps[0]
-    rests, d = set(), 0
-    for row in matrix:
-        for x in row:
-            for key in x._terms:
-                e = (key >> offset) & FIELD_MASK
-                rests.add(key - e * step)
-                d = max(d, e)
-    # No digit of an unreduced sum exceeds n products, times C(s + h - 1, h)
-    # key pairs on one key, times (h d + 1) (p - 1)^2, as derived above.
+    # s and d off the entries packed at the least width that keeps their
+    # coefficients apart: the top digit of each int is its x-degree.
     p, h = ring.p, n // 2
-    bound = n * math.comb(max(len(rests), 1) + h - 1, h) * (h * d + 1) * (p - 1) ** 2
-    nbytes = (bound.bit_length() + 7) // 8 or 1
+    c_bits = (p - 1).bit_length()
+    tight = [_pack_first(x, c_bits) for row in matrix for x in row]
+    s = len(set().union(*tight)) or 1
+    d = max(((v.bit_length() - 1) // c_bits for x in tight for v in x.values()), default=0)
+    # The digit bound n C(s + h - 1, h) (h d + 1) (p - 1)^2 derived above.
+    nbytes = ((n * math.comb(s + h - 1, h) * (h * d + 1) * (p - 1) ** 2).bit_length() + 7) // 8 or 1
     w = 8 * nbytes
     m = [[_pack_first(x, w) for x in row] for row in matrix]
-    one = {0: 1}  # the polynomial 1: key 0, x-degree 0
-    q = [one]
+    q = [_UNIT]
     for k in range(n):
         # The block [[A, c], [r, a]] of size k + 1; q holds det(lam I - A).
         columns = list(zip(*(row[:k] for row in m[:k])))
-        r, c = m[k][:k], [row[k] for row in m[:k]]
-        t = [one, _pack_first(-matrix[k][k], w)]
+        # c and a are packed negated, so that t_(j+2) = r A^j (-c) = -s_j.
+        r, c = m[k][:k], [_pack_first(-row[k], w) for row in matrix[:k]]
+        t = [_UNIT, _pack_first(-matrix[k][k], w)]
         for j in range(k):
             if j:
                 r = [_packed_sum(zip(r, col), nbytes, p) for col in columns]
-            t.append(_packed_sum(zip(r, c), nbytes, p, -1))
+            t.append(_packed_sum(zip(r, c), nbytes, p))
         q = [
             _packed_sum(((t[l], q[i - l]) for l in range(max(0, i - k), i + 1)), nbytes, p)
             for i in range(k + 2)
