@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .panels import poly_panel, random_poly, random_vector
 from .poly import Derivation, Poly, PolyRing, det
@@ -160,8 +161,7 @@ class AlgebroidPresentation:
         over the ring extended by a fresh central variable tau.
         """
         p = self.p
-        big_ring, (tau_name,) = self.ring.adjoin("tau")
-        big = self.map_to(big_ring)
+        big, tau_name = self._tau_extension
         tau = big.ring.variable(tau_name)
 
         def lift(pair):
@@ -184,6 +184,13 @@ class AlgebroidPresentation:
                 tuple(parts.get(i - 1, zero) * inv_i for parts in vector_parts),
             ))
         return out
+
+    @cached_property
+    def _tau_extension(self):
+        """This presentation over the ring with a fresh central variable tau
+        adjoined, and tau's name: built once, for :meth:`lie_polynomials`."""
+        big_ring, (tau_name,) = self.ring.adjoin("tau")
+        return self.map_to(big_ring), tau_name
 
     def p_operation(self, D):
         """e -> e^[p] on a general element, extended from the basis table.

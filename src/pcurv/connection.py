@@ -30,14 +30,16 @@ derivation (delta_a^p - anchor(h)) I.  It vanishes exactly when the
 p-operation is compatible with the anchor.
 
 The independent route is the Weyl-algebra one.  The action of an arbitrary
-enveloping-algebra element is a matrix whose entries are crystalline
-differential operators over the same ring (a Weyl-type algebra);
-:class:`MatrixDiffOp` realizes those endomorphism-valued operators with
-exact normal-form entries.  The coefficient action of the Weyl algebra on
-polynomials has a kernel: any monomial containing a p-th power of a
-coordinate derivation acts as zero (the p-th coefficient-wise derivative
-vanishes identically), and monomials with all exponents below p act
-faithfully.  Reducing modulo that kernel
+enveloping-algebra element is a matrix of crystalline differential
+operators over the same ring (a Weyl-type algebra).  :class:`MatrixDiffOp`
+stores such an operator as sum_beta W_beta d^beta, one r x r polynomial
+matrix W_beta on the left of each monomial d^beta in the coordinate
+derivations, and multiplies by the Leibniz rule, so its matrix products
+are the ``mat_mul`` of polynomial matrices.  The coefficient action of the
+Weyl algebra on polynomials has a kernel: any d^beta containing a p-th
+power of a coordinate derivation acts as zero (the p-th coefficient-wise
+derivative vanishes identically), and monomials with all exponents below
+p act faithfully.  Reducing modulo that kernel
 (:meth:`MatrixDiffOp.reduce_action`) gives a normal form for the
 endomorphism an operator induces.  :func:`check_abstract_action_oracle`
 represents the central element e_a^p - e_a^[p] that way and compares.
@@ -51,7 +53,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import add, mul
+from itertools import product
+from math import comb, prod
+from operator import add, mul, neg
 
 from . import operators as ops
 from .algebroid import AlgebroidPresentation, tangent_algebroid
@@ -60,9 +64,8 @@ from .report import ValidationReport
 
 # -- exact matrix helpers -----------------------------------------------------
 #
-# The only matrix arithmetic.  A matrix is a tuple of rows; its entries may
-# be of any ring type with + - * (polynomials, or the Weyl-algebra operators
-# of MatrixDiffOp), and mat_scalar takes that type's zero.
+# The only matrix arithmetic.  A matrix is a tuple of rows of polynomials;
+# MatrixDiffOp keeps one such matrix per monomial in the derivations.
 
 
 def mat_scalar(c, zero, r: int):
@@ -87,15 +90,14 @@ def mat_scale(f: Poly, a):
 
 
 def mat_mul(a, b):
-    """The matrix product a . b.  Polynomial matrices of rank above 1 over
-    a one-variable ring go through :func:`~pcurv.poly.kronecker_mat_mul`,
+    """The matrix product a . b.  Matrices of rank above 1 over a
+    one-variable ring go through :func:`~pcurv.poly.kronecker_mat_mul`,
     one big-int product per entry pair, with a digit width that no
     coefficient of the result can carry out of.  Every other case
-    (operator entries, multivariate rings, 1 x 1 matrices) is the
-    row-by-column dot product of the entries' own * and +: at rank 1 a
-    matrix product is one polynomial product, which packing only slows."""
-    corner = a[0][0]
-    if len(a) > 1 and isinstance(corner, Poly) and corner.ring.nvars == 1:
+    (multivariate rings, 1 x 1 matrices) is the row-by-column dot product
+    of the entries' * and +: at rank 1 a matrix product is one polynomial
+    product, which packing only slows."""
+    if len(a) > 1 and a[0][0].ring.nvars == 1:
         return kronecker_mat_mul(a, b)
     columns = tuple(zip(*b))
     return tuple(tuple(reduce(add, map(mul, row, col)) for col in columns) for row in a)
@@ -131,94 +133,127 @@ def mat_str(a) -> str:
 
 class MatrixDiffOp:
     """A square matrix of Weyl-algebra elements, acting on polynomial
-    vectors with the derivations applied coefficient-wise.  Its arithmetic
-    is the ``mat_*`` helpers on the entries."""
+    vectors with the derivations applied coefficient-wise, stored as
+    sum_beta W_beta d^beta: ``coeffs`` maps each multi-index beta over the
+    coordinate derivations to its nonzero r x r polynomial matrix W_beta."""
 
-    __slots__ = ("weyl", "entries")
+    __slots__ = ("weyl", "rank", "coeffs")
 
-    def __init__(self, weyl: AlgebroidPresentation, entries):
+    def __init__(self, weyl: AlgebroidPresentation, rank: int, coeffs: dict):
         self.weyl = weyl
-        self.entries = tuple(tuple(row) for row in entries)
-
-    @property
-    def rank(self) -> int:
-        return len(self.entries)
+        self.rank = rank
+        self.coeffs = {beta: w for beta, w in coeffs.items() if not mat_is_zero(w)}
 
     @classmethod
     def identity(cls, weyl, r):
-        return cls(weyl, mat_scalar(ops.one(weyl), ops.zero(weyl), r))
+        return cls.from_matrix(weyl, identity_matrix(weyl.ring, r))
 
     @classmethod
     def from_matrix(cls, weyl, matrix):
-        return cls(weyl, mat_map(lambda f: ops.from_poly(weyl, f), matrix))
+        return cls(weyl, len(matrix), {(0,) * weyl.rank: matrix})
 
     def __eq__(self, other):
         if not isinstance(other, MatrixDiffOp):
             return NotImplemented
-        return self.weyl == other.weyl and self.entries == other.entries
+        return (self.weyl, self.rank, self.coeffs) == (other.weyl, other.rank, other.coeffs)
 
     def __add__(self, other):
-        return MatrixDiffOp(self.weyl, mat_add(self.entries, other.entries))
+        coeffs = dict(self.coeffs)
+        for beta, w in other.coeffs.items():
+            coeffs[beta] = mat_add(coeffs[beta], w) if beta in coeffs else w
+        return MatrixDiffOp(self.weyl, self.rank, coeffs)
+
+    def __neg__(self):
+        coeffs = {b: mat_map(neg, w) for b, w in self.coeffs.items()}
+        return MatrixDiffOp(self.weyl, self.rank, coeffs)
 
     def __sub__(self, other):
-        return MatrixDiffOp(self.weyl, mat_sub(self.entries, other.entries))
+        return self + -other
 
     def __mul__(self, other):
+        """Leibniz: (U d^beta)(W d^gamma) is the sum over delta <= beta of
+        C(beta, delta) U . d^delta(W) d^(beta - delta + gamma), with the
+        binomials mod p.  A scalar U = c I scales instead of multiplying."""
         if not isinstance(other, MatrixDiffOp):
             return NotImplemented
-        return MatrixDiffOp(self.weyl, mat_mul(self.entries, other.entries))
+        ring = self.weyl.ring
+        one = ring.one()
+        coeffs = {}
+        for beta, u in self.coeffs.items():
+            c = u[0][0]
+            scalar = u == mat_scalar(c, ring.zero(), self.rank)
+            for delta in product(*(range(k + 1) for k in beta)):
+                n = ring.constant(prod(map(comb, beta, delta)))
+                if n.is_zero():
+                    continue
+                f = c * n if scalar else n
+                for gamma, w in other.coeffs.items():
+                    v = _derive(w, delta, ring)
+                    if not scalar:
+                        v = mat_mul(u, v)
+                    if f != one:
+                        v = mat_scale(f, v)
+                    key = tuple(b - d + g for b, d, g in zip(beta, delta, gamma))
+                    coeffs[key] = mat_add(coeffs[key], v) if key in coeffs else v
+        return MatrixDiffOp(self.weyl, self.rank, coeffs)
 
     def __pow__(self, k: int):
         return left_power(self, k, MatrixDiffOp.identity(self.weyl, self.rank))
 
     def scale(self, f: Poly):
-        return MatrixDiffOp(self.weyl, mat_map(lambda x: x.scale(f), self.entries))
+        coeffs = {b: mat_scale(f, w) for b, w in self.coeffs.items()}
+        return MatrixDiffOp(self.weyl, self.rank, coeffs)
 
     def commutator(self, other):
-        return MatrixDiffOp(self.weyl, mat_commutator(self.entries, other.entries))
+        return self * other - other * self
 
     def is_zero(self) -> bool:
-        return mat_is_zero(self.entries)
+        return not self.coeffs
 
     def order(self) -> int:
-        """Largest filtration degree among the entries; -1 if zero."""
-        return max((x.degree() for row in self.entries for x in row), default=-1)
+        """Largest |beta| with W_beta nonzero; -1 if zero."""
+        return max(map(sum, self.coeffs), default=-1)
 
     def reduce_action(self) -> "MatrixDiffOp":
-        """Drop the terms that act as zero on polynomial vectors: monomials
-        in which some coordinate derivation appears with exponent >= p."""
+        """Drop the terms that act as zero on polynomial vectors: the d^beta
+        in which some coordinate derivation has exponent >= p."""
         p = self.weyl.p
-
-        def acting_part(x):
-            terms = {b: f for b, f in x.terms.items() if all(k < p for k in b)}
-            return ops.OperatorElement(self.weyl, terms)
-
-        return MatrixDiffOp(self.weyl, mat_map(acting_part, self.entries))
+        coeffs = {b: w for b, w in self.coeffs.items() if all(k < p for k in b)}
+        return MatrixDiffOp(self.weyl, self.rank, coeffs)
 
     def as_matrix(self):
-        """The entries as plain polynomials; requires order at most 0."""
+        """W_0 as a plain polynomial matrix; requires order at most 0."""
         if self.order() > 0:
             raise ValueError(f"operator has order {self.order()} > 0")
-        return mat_map(ops.OperatorElement.function_part, self.entries)
+        zero = self.weyl.ring.zero()
+        return self.coeffs.get((0,) * self.weyl.rank, mat_scalar(zero, zero, self.rank))
 
     def apply(self, section):
         """Act on a polynomial vector (coefficient-wise derivations)."""
-        coords = self.weyl.ring.coordinate_indices()
-        out = []
-        for row in self.entries:
-            total = self.weyl.ring.zero()
-            for x, s in zip(row, section):
-                for beta, f in x.terms.items():
-                    value = s
-                    for a, k in enumerate(beta):
-                        for _ in range(k):
-                            value = value.derive(coords[a])
-                    total = total + f * value
-            out.append(total)
-        return tuple(out)
+        ring = self.weyl.ring
+        column = tuple((s,) for s in section)
+        out = mat_scale(ring.zero(), column)
+        for beta, w in self.coeffs.items():
+            out = mat_add(out, mat_mul(w, _derive(column, beta, ring)))
+        return tuple(s for (s,) in out)
 
     def __str__(self):
-        return mat_str(self.entries)
+        """The matrix of Weyl-algebra elements, entry by entry."""
+
+        def entry(i, j):
+            terms = {b: w[i][j] for b, w in self.coeffs.items() if w[i][j]}
+            return ops.OperatorElement(self.weyl, terms)
+
+        cells = range(self.rank)
+        return mat_str(tuple(tuple(entry(i, j) for j in cells) for i in cells))
+
+
+def _derive(a, beta, ring: PolyRing):
+    """d^beta applied to every entry of a, beta over the coordinates."""
+    for j, k in zip(ring.coordinate_indices(), beta):
+        for _ in range(k):
+            a = mat_map(lambda f: f.derive(j), a)
+    return a
 
 
 # -- connection modules -------------------------------------------------------
@@ -256,17 +291,20 @@ class ConnectionModule:
     @cached_property
     def actions(self) -> tuple:
         """The generator actions nabla_{e_a} = delta_a + A_a as matrix
-        operators, each anchor derivation a degree-1 Weyl-algebra element."""
-        weyl = self.weyl
+        operators: A_a at d^0 and, for each coordinate j, the scalar matrix
+        of the anchor's j-th component at d_j."""
+        weyl, r = self.weyl, self.rank
         coords = self.ring.coordinate_indices()
         ri = self.ring.rees_index
         actions = []
         for derivation, matrix in zip(self.algebroid.anchor, self.matrices):
             if ri is not None and not derivation.components[ri].is_zero():
                 raise ValueError("derivation acts on the deformation variable")
-            d_op = ops.from_h_element(weyl, tuple(derivation.components[j] for j in coords))
-            diag = MatrixDiffOp(weyl, mat_scalar(d_op, ops.zero(weyl), self.rank))
-            actions.append(diag + MatrixDiffOp.from_matrix(weyl, matrix))
+            coeffs = {(0,) * weyl.rank: matrix}
+            for k, j in enumerate(coords):
+                unit = tuple(int(i == k) for i in range(weyl.rank))
+                coeffs[unit] = mat_scalar(derivation.components[j], self.ring.zero(), r)
+            actions.append(MatrixDiffOp(weyl, r, coeffs))
         return tuple(actions)
 
     def generator_action(self, a: int) -> MatrixDiffOp:
@@ -287,14 +325,15 @@ def represent_operator(M: ConnectionModule, op: ops.OperatorElement) -> MatrixDi
     Each word is built from the identity by left-multiplying by one
     order-1 action at a time, from the last generator to the first; no
     two words of positive order are ever multiplied.  Left-multiplying an
-    order-k operator by an order-1 one costs about as many generator
-    rewrites as the product has terms, so a word of length k costs
-    O(k^2) of them, O(p^2) for the e_a^p of the p-curvature oracle.
-    Square-and-multiply would square two order-k/2 operators, about
-    (k/2)^2 term pairs each expanded through k/2 rewrites: O(p^3)."""
+    operator by an order-1 action takes one matrix product A_a . W_gamma
+    per monomial d^gamma of the operator; the scalar anchor part only
+    derives and shifts the W_gamma.  On the line a word of length k
+    therefore costs O(k^2) matrix products, O(p^2) for the e_a^p of the
+    p-curvature oracle.  Square-and-multiply would multiply two
+    order-k/2 operators, (k/2)^2 pairs of monomials with up to k/2 + 1
+    Leibniz terms each: O(p^3)."""
     weyl = M.weyl
-    zero = ops.zero(weyl)
-    out = MatrixDiffOp(weyl, mat_scalar(zero, zero, M.rank))
+    out = MatrixDiffOp(weyl, M.rank, {})
     for beta, f in op.terms.items():
         word = MatrixDiffOp.identity(weyl, M.rank)
         for a in reversed(range(len(beta))):

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 from test_bench_tracer import load_tracing
 
-from pcurv import algebroid, connection, hitchin, poly
+from pcurv import algebroid, connection, hitchin, operators, poly
 from pcurv.cli import (
     EXIT_INPUT_ERROR,
     EXIT_MATH_FAILURE,
@@ -592,3 +592,41 @@ class TestOracleCost:
         assert code == EXIT_OK
         checks = {c.name: c.passed for c in report.checks}
         assert checks["pcurvature.abstract_action_oracle"]
+
+
+class TestHiggsCommutationCost:
+    """Over a zero anchor every generator action is the single matrix A_b
+    at d^0, so each operator commutator [psi_a, nabla_{e_b}] in the
+    commutation check is two polynomial matrix products, and no element of
+    the Weyl algebra is multiplied."""
+
+    def test_each_commutator_is_two_matrix_products(self, monkeypatch):
+        scenario = load_scenario(GOLDEN / "higgs_wide_p5.json")
+        C = connection.p_curvature(scenario.module, scenario.structure)
+        counts = Counter()
+        per_commutator = []
+        mat_mul = connection.mat_mul
+        commutator = connection.MatrixDiffOp.commutator
+        operator_mul = operators.OperatorElement.__mul__
+
+        def counted_mat_mul(a, b):
+            counts["mat_mul"] += 1
+            return mat_mul(a, b)
+
+        def counted_operator_mul(x, y):
+            counts["operator_mul"] += 1
+            return operator_mul(x, y)
+
+        def counted_commutator(x, y):
+            before = counts["mat_mul"]
+            out = commutator(x, y)
+            per_commutator.append(counts["mat_mul"] - before)
+            return out
+
+        monkeypatch.setattr(connection, "mat_mul", counted_mat_mul)
+        monkeypatch.setattr(operators.OperatorElement, "__mul__", counted_operator_mul)
+        monkeypatch.setattr(connection.MatrixDiffOp, "commutator", counted_commutator)
+        assert connection.check_flat_commutation(C).passed
+        assert counts["operator_mul"] == 0
+        assert len(per_commutator) == scenario.algebroid.rank**2 == 9
+        assert all(n <= 2 for n in per_commutator)

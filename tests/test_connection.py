@@ -1,5 +1,8 @@
+import itertools
 import random
 from dataclasses import replace
+from functools import reduce
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -17,16 +20,18 @@ from pcurv.connection import (
     identity_matrix,
     mat_add,
     mat_is_zero,
+    mat_map,
     mat_mul,
     mat_pow,
     mat_scale,
+    mat_str,
     mat_sub,
     p_curvature,
     represent_operator,
     validate_flatness,
 )
 from pcurv.panels import poly_panel, random_matrix, random_poly
-from pcurv.poly import PolyRing, PrimeField, parse_poly
+from pcurv.poly import Poly, PolyRing, PrimeField, parse_poly
 
 
 def ring(p, names=("x",)):
@@ -49,14 +54,14 @@ class TestNablaOf:
         R = ring(3)
         M = scalar_module(tangent_algebroid(R), parse_poly("x^2", R))
         op = M.generator_action(0)
-        assert str(op.entries[0][0]) == "e1 + x^2"
+        assert str(op) == "[e1 + x^2]"
 
     def test_left_multiplication(self):
         R = ring(3)
         x = R.variable("x")
         M = scalar_module(tangent_algebroid(R), x * x)
         op = represent_operator(M, ops.from_h_element(M.algebroid, (x,)))
-        assert str(op.entries[0][0]) == "x*e1 + x^3"
+        assert str(op) == "[x*e1 + x^3]"
 
     def test_operator_application(self):
         R = ring(3)
@@ -373,7 +378,8 @@ class TestMatrixDiffOp:
         R = ring(3)
         weyl = tangent_algebroid(R)
         d = ops.generator(weyl, 0)
-        op = MatrixDiffOp(weyl, [[d**3 + ops.one(weyl)]])
+        op = represent_operator(scalar_module(weyl, R.zero()), d**3 + ops.one(weyl))
+        assert str(op) == "[e1^3 + 1]"
         reduced = op.reduce_action()
         assert reduced.order() == 0
         assert reduced.as_matrix() == ((R.one(),),)
@@ -383,8 +389,94 @@ class TestMatrixDiffOp:
         R = ring(3)
         weyl = tangent_algebroid(R)
         d = ops.generator(weyl, 0)
-        op = MatrixDiffOp(weyl, [[(d + ops.from_poly(weyl, R.variable("x"))) ** 4]])
+        element = (d + ops.from_poly(weyl, R.variable("x"))) ** 4
+        op = represent_operator(scalar_module(weyl, R.zero()), element)
+        assert str(op) == f"[{element}]"
         reduced = op.reduce_action()
         for _ in range(10):
             s = (random_poly(rng, R, 5),)
             assert op.apply(s) == reduced.apply(s)
+
+
+# -- the polynomial-matrix layout against the entrywise Weyl-algebra product ---
+
+
+def entries(P):
+    """P as an r x r matrix of Weyl-algebra elements, entry (i, j) being
+    sum_beta W_beta[i][j] d^beta."""
+    cells = range(P.rank)
+    return tuple(
+        tuple(
+            ops.OperatorElement(P.weyl, {b: w[i][j] for b, w in P.coeffs.items() if w[i][j]})
+            for j in cells
+        )
+        for i in cells
+    )
+
+
+def entrywise_weyl_product(a, b):
+    """The named oracle: the row-by-column product of two matrices of
+    Weyl-algebra elements, each entry product a PBW normal-form product."""
+    return tuple(tuple(reduce(add, map(mul, row, col)) for col in zip(*b)) for row in a)
+
+
+def acting_part(x):
+    """The terms of one Weyl-algebra element with every exponent below p."""
+    p = x.algebroid.p
+    return ops.OperatorElement(x.algebroid, {b: f for b, f in x.terms.items() if max(b) < p})
+
+
+def poly_matrix(draw, R, r):
+    exps = st.tuples(*[st.integers(0, 2)] * R.nvars)
+    coeffs = st.dictionaries(exps, st.integers(0, R.p - 1), max_size=3)
+    return tuple(tuple(Poly(R, draw(coeffs)) for _ in range(r)) for _ in range(r))
+
+
+def weyl_operator(draw, weyl, r, max_order=2):
+    m = weyl.rank
+    betas = [b for b in itertools.product(range(max_order + 1), repeat=m) if sum(b) <= max_order]
+    support = draw(st.sets(st.sampled_from(betas), max_size=3))
+    return MatrixDiffOp(weyl, r, {b: poly_matrix(draw, weyl.ring, r) for b in support})
+
+
+@st.composite
+def weyl_operator_cases(draw):
+    """Two operators of order <= 2 and rank 1-3 over F_p[x] or F_p[x, y],
+    p in {3, 5}, the first one sometimes plus d_j^p W, whose Leibniz
+    expansion has only vanishing middle binomials C(p, k); and a section."""
+    p = draw(st.sampled_from([3, 5]))
+    weyl = tangent_algebroid(ring(p, draw(st.sampled_from([("x",), ("x", "y")]))))
+    r = draw(st.integers(1, 3))
+    P = weyl_operator(draw, weyl, r)
+    if draw(st.booleans()):
+        j = draw(st.integers(0, weyl.rank - 1))
+        beta = tuple(p if k == j else 0 for k in range(weyl.rank))
+        P = P + MatrixDiffOp(weyl, r, {beta: poly_matrix(draw, weyl.ring, r)})
+    Q = weyl_operator(draw, weyl, r)
+    section = tuple(row[0] for row in poly_matrix(draw, weyl.ring, r))
+    return P, Q, section
+
+
+class TestMatrixDiffOpAgainstEntrywiseProduct:
+    @settings(max_examples=60, deadline=None)
+    @given(weyl_operator_cases())
+    def test_product_commutator_and_reduction(self, case):
+        P, Q, section = case
+        a, b = entries(P), entries(Q)
+        assert entries(P * Q) == entrywise_weyl_product(a, b)
+        assert str(P * Q) == mat_str(entrywise_weyl_product(a, b))
+        expected = mat_sub(entrywise_weyl_product(a, b), entrywise_weyl_product(b, a))
+        assert entries(P.commutator(Q)) == expected
+        assert entries(P.reduce_action()) == mat_map(acting_part, a)
+        assert (P * Q).apply(section) == P.apply(Q.apply(section))
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_pth_power_of_a_derivation_times_a_function(self, p):
+        R = ring(p, ("x", "y"))
+        weyl = tangent_algebroid(R)
+        f = parse_poly(f"x^{p + 1}*y + x^2 + y", R)
+        d_p = MatrixDiffOp(weyl, 1, {(p, 0): ((R.one(),),)})
+        product = d_p * MatrixDiffOp.from_matrix(weyl, ((f,),))
+        # d^p f = f d^p: C(p, k) = 0 mod p for 0 < k < p, and d^p(f) = 0
+        assert product.coeffs == {(p, 0): ((f,),)}
+        assert entries(product) == entrywise_weyl_product(entries(d_p), ((ops.from_poly(weyl, f),),))
