@@ -19,10 +19,11 @@ so that
 No field ever carries into the next: every way in, from exponent tuples
 (:class:`Poly`, :meth:`PolyRing.monomial`, :meth:`Poly.map_to`) and from
 the degree-raising operations (``*``, ``**``, :meth:`Poly.frobenius`,
-:func:`kronecker_mat_mul`, :func:`charpoly_coefficients`), checks the
-total degree against ``DEGREE_LIMIT`` first and raises
-:class:`ResourceLimitError` above it; every exponent is then at most the
-total degree, which fits in ``FIELD_BITS``.  ``Poly.terms`` shows the
+:func:`kronecker_mat_mul`, :func:`katz_recurrence`,
+:func:`charpoly_coefficients`), checks the total degree against
+``DEGREE_LIMIT`` first and raises :class:`ResourceLimitError` above it;
+every exponent is then at most the total degree, which fits in
+``FIELD_BITS``.  ``Poly.terms`` shows the
 same terms keyed by exponent tuples:
 
     2*x*y + 4*y   over F_5, variables (x, y)
@@ -871,6 +872,53 @@ def kronecker_mat_mul(a, b):
         tuple(_unpack_first(ring, {0: sum(map(operator.mul, row, c))}, nbytes) for c in columns)
         for row in rows
     )
+
+
+def katz_recurrence(b, g: Poly, steps: int):
+    """X_steps of Katz's recurrence X_1 = b, X_{k+1} = g X_k' + b . X_k,
+    for a square matrix b of polynomials over a one-variable ring and the
+    derivation g d/dx, with every X_k packed as in
+    :func:`kronecker_mat_mul`.  b and g are packed once (B, G); each step
+    forms every entry sum_k B_ik X_kj + G X_ij' as one int and reduces its
+    digits mod p once; only X_steps is unpacked.  X_ij' comes from the
+    digits that reduction produced: digit e becomes e c_e mod p, one place
+    lower.
+
+    One width serves every step.  A digit of B_ik X_kj sums at most
+    d_b + 1 products of two coefficients in 0..p-1, and a digit of G X_ij'
+    at most d_g + 1, so no digit exceeds (r (d_b + 1) + d_g + 1) (p - 1)^2,
+    with r the rank and d_b, d_g the largest degrees in b and of g (-1
+    when zero).  The width is the least whole number of bytes above that.
+
+    Before each step, with d_X the largest degree in X_k read off the
+    packed ints, d_b + d_X above ``DEGREE_LIMIT``, or d_g + d_X - 1 for a
+    nonzero g, raises :class:`ResourceLimitError`: the products
+    ``Poly.__mul__`` and :func:`kronecker_mat_mul` would refuse."""
+    ring = g.ring
+    if ring.nvars != 1:
+        raise ValueError("Kronecker substitution needs a one-variable ring")
+    p, d_g = ring.p, g.total_degree()
+    d_b = max(x.total_degree() for row in b for x in row)
+    nbytes = (((len(b) * (d_b + 1) + d_g + 1) * (p - 1) ** 2).bit_length() + 7) // 8 or 1
+    w = 8 * nbytes
+    rows = [[_pack_first(x, w).get(0, 0) for x in row] for row in b]
+    packed_g = _pack_first(g, w).get(0, 0)
+    x = rows
+    digits = [[_digits(n, nbytes, p) for n in row] for row in rows]
+    for _ in range(steps - 1):
+        d_x = (max(n.bit_length() for row in x for n in row) - 1) // w
+        if d_b + d_x > DEGREE_LIMIT or packed_g and d_g + d_x - 1 > DEGREE_LIMIT:
+            raise ResourceLimitError("product degree exceeds the configured bound")
+        columns = list(zip(*x))
+        sums = [[sum(map(operator.mul, row, c)) for c in columns] for row in rows]
+        if packed_g:
+            for sum_row, digit_row in zip(sums, digits):
+                for j, d in enumerate(digit_row):
+                    derivative = [e * c % p for e, c in enumerate(d[1:], 1)]
+                    sum_row[j] += packed_g * _from_digits(derivative, nbytes)
+        digits = [[_digits(n, nbytes, p) for n in row] for row in sums]
+        x = [[_from_digits(d, nbytes) for d in row] for row in digits]
+    return tuple(tuple(_unpack_first(ring, {0: n}, nbytes) for n in row) for row in x)
 
 
 def charpoly_coefficients(matrix) -> list:

@@ -453,10 +453,11 @@ def line_module_doc(p, rank, coordinates, seed=0):
 
 
 class TestMatMulCost:
-    """Polynomial matrix products of rank above 1 over a one-variable ring
-    are one big-int product per entry pair (poly.kronecker_mat_mul): none
-    of the products inside mat_mul go through Poly.__mul__.  Rank 1 and
-    multivariate rings keep the entrywise product."""
+    """Katz's recurrence over a one-variable ring at rank above 1 runs on
+    packed ints (poly.katz_recurrence): B and g are packed once and X_p is
+    unpacked once, with no Poly.__mul__ and no mat_mul inside.  Rank 1
+    and multivariate rings keep the Poly loop, one entrywise mat_mul
+    B . X_k per step."""
 
     @pytest.mark.parametrize(
         "rank, coordinates, entrywise",
@@ -468,32 +469,53 @@ class TestMatMulCost:
         C = connection.p_curvature(scenario.module, scenario.structure)
         panel = poly_panel(C.ring, 2, seed=0, max_degree=2)
         counts = Counter()
-        poly_mul, mat_mul = Poly.__mul__, connection.mat_mul
+        poly_mul = Poly.__mul__
         inside = []
 
         def counted_poly_mul(x, y):
-            counts["poly_mul_in_mat_mul" if inside else "poly_mul"] += 1
+            counts["poly_mul_inside" if inside else "poly_mul"] += 1
             return poly_mul(x, y)
 
-        def counted_mat_mul(a, b):
-            counts["mat_mul"] += 1
-            inside.append(True)
-            try:
-                return mat_mul(a, b)
-            finally:
-                inside.pop()
+        def marked(name, function):
+            def wrapper(*args):
+                counts[name] += 1
+                inside.append(True)
+                try:
+                    return function(*args)
+                finally:
+                    inside.pop()
+
+            return wrapper
+
+        def counted_inside(name, function):
+            def wrapper(*args):
+                counts[name] += bool(inside)
+                return function(*args)
+
+            return wrapper
 
         monkeypatch.setattr(Poly, "__mul__", counted_poly_mul)
         monkeypatch.setattr(Poly, "__rmul__", counted_poly_mul)
-        monkeypatch.setattr(connection, "mat_mul", counted_mat_mul)
+        monkeypatch.setattr(connection, "mat_mul", marked("mat_mul", connection.mat_mul))
+        monkeypatch.setattr(
+            connection, "katz_recurrence", marked("katz", connection.katz_recurrence)
+        )
+        monkeypatch.setattr(poly, "_pack_first", counted_inside("pack", poly._pack_first))
+        monkeypatch.setattr(poly, "_unpack_first", counted_inside("unpack", poly._unpack_first))
         assert connection.check_p_linearity(C, panel).passed
-        # One product B . X_k per recurrence step, p - 1 steps per element.
-        assert counts["mat_mul"] == len(panel) * (p - 1)
         assert counts["poly_mul"] > 0
         if entrywise:
-            assert counts["poly_mul_in_mat_mul"] >= counts["mat_mul"] * rank**3
+            # One product B . X_k per recurrence step, p - 1 steps per element.
+            assert counts["mat_mul"] == len(panel) * (p - 1)
+            assert counts["poly_mul_inside"] >= counts["mat_mul"] * rank**3
+            assert counts["katz"] == 0
         else:
-            assert counts["poly_mul_in_mat_mul"] == 0
+            # One packed recurrence per element: r^2 entries of B and g
+            # packed, r^2 entries of X_p unpacked.
+            assert counts["katz"] == len(panel)
+            assert counts["mat_mul"] == counts["poly_mul_inside"] == 0
+            assert counts["pack"] == len(panel) * (rank**2 + 1)
+            assert counts["unpack"] == len(panel) * rank**2
 
 
 def dense_higgs_doc(p, rank, seed=0):

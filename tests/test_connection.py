@@ -31,7 +31,16 @@ from pcurv.connection import (
     validate_flatness,
 )
 from pcurv.panels import poly_panel, random_matrix, random_poly
-from pcurv.poly import Poly, PolyRing, PrimeField, parse_poly
+from pcurv.poly import (
+    DEGREE_LIMIT,
+    Derivation,
+    Poly,
+    PolyRing,
+    PrimeField,
+    ResourceLimitError,
+    katz_recurrence,
+    parse_poly,
+)
 
 
 def ring(p, names=("x",)):
@@ -420,6 +429,17 @@ def entrywise_weyl_product(a, b):
     return tuple(tuple(reduce(add, map(mul, row, col)) for col in zip(*b)) for row in a)
 
 
+def poly_katz_recurrence(b, g, steps):
+    """The named oracle of ``poly.katz_recurrence``: Katz's recurrence
+    X_1 = b, X_{k+1} = delta(X_k) + b . X_k with delta = g d/dx, on Poly
+    values, each product the row-by-column one of Poly's own * and +."""
+    delta = Derivation(g.ring, (g,))
+    x = b
+    for _ in range(steps - 1):
+        x = mat_add(mat_map(delta, x), entrywise_weyl_product(b, x))
+    return x
+
+
 def acting_part(x):
     """The terms of one Weyl-algebra element with every exponent below p."""
     p = x.algebroid.p
@@ -480,3 +500,109 @@ class TestMatrixDiffOpAgainstEntrywiseProduct:
         # d^p f = f d^p: C(p, k) = 0 mod p for 0 < k < p, and d^p(f) = 0
         assert product.coeffs == {(p, 0): ((f,),)}
         assert entries(product) == entrywise_weyl_product(entries(d_p), ((ops.from_poly(weyl, f),),))
+
+
+# -- the packed Katz recurrence against the Poly loop -------------------------
+
+
+def line_poly(R, coefficients):
+    return Poly(R, {(e,): c for e, c in enumerate(coefficients)})
+
+
+@st.composite
+def katz_cases(draw):
+    """B of rank 2-4 over F_p[x], p in {2, 3, 5, 7, 13}, entries of degree
+    0-3 (possibly zero), and g zero or not, of degree 0-3."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    R = ring(p)
+    r = draw(st.integers(2, 4))
+    coefficients = st.lists(st.integers(0, p - 1), min_size=1, max_size=4)
+    b = tuple(tuple(line_poly(R, draw(coefficients)) for _ in range(r)) for _ in range(r))
+    g = line_poly(R, draw(coefficients)) if draw(st.booleans()) else R.zero()
+    return b, g, p
+
+
+def unreduced_first_step(b, g):
+    """The coefficients of X_2 = g b' + b . b as plain ints, before any
+    reduction mod p: the digits the packed recurrence sums first."""
+    p = g.ring.p
+
+    def coefficients(f):
+        return [f.terms.get((e,), 0) for e in range(f.total_degree() + 1)]
+
+    def product(u, v):
+        out = [0] * (len(u) + len(v))
+        for i, c in enumerate(u):
+            for j, d in enumerate(v):
+                out[i + j] += c * d
+        return out
+
+    def total(*polys):
+        return [sum(column) for column in itertools.zip_longest(*polys, fillvalue=0)]
+
+    r = len(b)
+    return [
+        total(
+            product(coefficients(g), [e * c % p for e, c in enumerate(coefficients(b[i][j]))][1:]),
+            *(product(coefficients(b[i][k]), coefficients(b[k][j])) for k in range(r)),
+        )
+        for i in range(r)
+        for j in range(r)
+    ]
+
+
+class TestPackedKatzRecurrence:
+    @settings(max_examples=150, deadline=None)
+    @given(katz_cases())
+    def test_matches_poly_loop(self, case):
+        b, g, p = case
+        assert katz_recurrence(b, g, p) == poly_katz_recurrence(b, g, p)
+
+    @pytest.mark.parametrize(
+        "r, d_b, d_g, widest",
+        # G = 0: the x^3 digit of b . b is 3 * 4 * 100^2, the bound itself.
+        # G != 0: without its d_g + 1 the bound would fit two bytes, but
+        # b . b + g b' reaches 2 * 3 * 100^2 + 100 * (100 + 99) at x^2.
+        [(3, 3, -1, 120_000), (2, 2, 3, 79_900)],
+    )
+    def test_worst_case_digits_do_not_carry(self, r, d_b, d_g, widest):
+        """Dense entries at p = 101 with every coefficient p - 1.  The
+        width is the least whole number of bytes above
+        (r (d_b + 1) + d_g + 1) (p - 1)^2, three here; the largest digit of
+        the first step needs all three, so a width one byte narrower
+        carries on these inputs."""
+        p = 101
+        R = ring(p)
+        entry = line_poly(R, [p - 1] * (d_b + 1))
+        b = tuple(tuple(entry for _ in range(r)) for _ in range(r))
+        g = line_poly(R, [p - 1] * (d_g + 1))
+        assert max(map(max, unreduced_first_step(b, g))) == widest
+        assert 2**16 <= widest <= (r * (d_b + 1) + d_g + 1) * (p - 1) ** 2 < 2**24
+        for steps in (2, 3, 5, p):
+            assert katz_recurrence(b, g, steps) == poly_katz_recurrence(b, g, steps)
+
+    def test_needs_a_one_variable_ring(self):
+        R = ring(3, ("x", "y"))
+        b = ((R.one(), R.zero()), (R.zero(), R.one()))
+        with pytest.raises(ValueError, match="one-variable"):
+            katz_recurrence(b, R.zero(), 3)
+
+    def test_product_degree_past_the_bound_raises_at_the_first_step(self):
+        R = ring(3)
+        big = R.monomial((DEGREE_LIMIT // 2 + 1,))
+        b = ((big, R.one()), (R.zero(), big))
+        for recurrence in (katz_recurrence, poly_katz_recurrence):
+            with pytest.raises(ResourceLimitError, match="product degree exceeds"):
+                recurrence(b, R.zero(), 2)
+
+    def test_derivative_degree_past_the_bound_raises_at_its_step(self):
+        """X_2 = g + x^2 on the diagonal, of degree d_g = 600000: the first
+        step stays within the bound, the second needs g X_2' of degree
+        2 d_g - 1."""
+        R = ring(7)
+        x, g = R.variable("x"), R.monomial((600_000,))
+        b = ((x, R.zero()), (R.zero(), x))
+        assert katz_recurrence(b, g, 2) == poly_katz_recurrence(b, g, 2)
+        for recurrence in (katz_recurrence, poly_katz_recurrence):
+            with pytest.raises(ResourceLimitError, match="product degree exceeds"):
+                recurrence(b, g, 3)
