@@ -34,7 +34,7 @@ check = d**3 + f**3 + s1 + s2
 print("Jacobson check :", (d + f) ** 3 == check)
 
 # d^p - d^[p] is central: here d^[3] = 0, so the element is d^3 itself.
-iota_d = ops.p_curvature_element(W, d)
+iota_d = ops.p_curvature_element(d)
 print("d^3 - d^[3]    :", iota_d, "| central:", iota_d.is_central())
 print("its top symbol :", iota_d.top_symbol(), "= (symbol of d)^3:",
       iota_d.top_symbol() == d.top_symbol() ** 3)

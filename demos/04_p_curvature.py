@@ -47,7 +47,7 @@ print("counterexample  :", mat_str(CC.psi[0]))
 
 # Shifting the p-structure by the central function x^3 shifts psi.
 shift = shift_p_structure(T, [parse_poly("x^3", R)])
-CS = p_curvature(M, structure=shift)
+CS = p_curvature(ConnectionModule(shift, M.rank, M.matrices))
 print("shifted psi     :", mat_str(CS.psi[0]))
 
 # Non-flat modules are refused: d + y dx and d + 0 dy do not commute.

@@ -21,14 +21,15 @@ Constructors are provided for the standard families: the tangent algebroid
 (anchor the identity, p-operation the p-th power of vector fields), Higgs
 algebroids (zero bracket and anchor, p-operation any p-linear map), the
 one-parameter Rees deformation connecting the two, and p-structure shifts
-by central elements.
+by central elements, which a presentation carries as its ``shift`` and
+which act only in the enveloping algebra.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .panels import poly_panel, random_poly, random_vector
@@ -38,13 +39,14 @@ from .report import ValidationReport
 
 @dataclass(frozen=True)
 class AlgebroidPresentation:
-    """(H, bracket, anchor, p-operation) on a free module of rank m."""
+    """(H, bracket, anchor, p-operation, shift) on a free module of rank m."""
 
     ring: PolyRing
     rank: int
     bracket: tuple  # bracket[a][b] = coefficient vector of [e_a, e_b]
     anchor: tuple   # anchor[a] = Derivation delta(e_a)
     p_op: tuple     # p_op[a] = coefficient vector of e_a^[p]
+    shift: tuple = ()  # empty, or shift[a] = (function, coefficient vector) of phi_a
 
     def __post_init__(self):
         m = self.rank
@@ -53,9 +55,11 @@ class AlgebroidPresentation:
         bracket = tuple(tuple(tuple(row) for row in table) for table in self.bracket)
         p_op = tuple(tuple(row) for row in self.p_op)
         anchor = tuple(self.anchor)
+        shift = tuple((f, tuple(vec)) for f, vec in self.shift)
         object.__setattr__(self, "bracket", bracket)
         object.__setattr__(self, "p_op", p_op)
         object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "shift", shift)
         if len(bracket) != m or any(len(t) != m for t in bracket):
             raise ValueError("bracket table must be rank x rank")
         if any(len(v) != m for t in bracket for v in t):
@@ -64,6 +68,8 @@ class AlgebroidPresentation:
             raise ValueError("one anchor derivation per basis element required")
         if len(p_op) != m or any(len(v) != m for v in p_op):
             raise ValueError("p-operation table must be rank x rank")
+        if len(shift) not in (0, m) or any(len(vec) != m for _, vec in shift):
+            raise ValueError("one shift value per basis element required")
         for table in bracket:
             for vec in table:
                 for c in vec:
@@ -76,6 +82,8 @@ class AlgebroidPresentation:
             for c in vec:
                 if c.ring != self.ring:
                     raise ValueError("p-operation coefficient from a different ring")
+        if any(c.ring != self.ring for f, vec in shift for c in (f, *vec)):
+            raise ValueError("shift value from a different ring")
 
     @property
     def p(self) -> int:
@@ -226,14 +234,16 @@ class AlgebroidPresentation:
 
     def map_to(self, big_ring: PolyRing) -> "AlgebroidPresentation":
         """The same presentation over a ring with extra variables (which are
-        central: no anchor acts on them)."""
-        bracket = tuple(
-            tuple(tuple(c.map_to(big_ring) for c in vec) for vec in table)
-            for table in self.bracket
-        )
+        central: no anchor acts on them, so the shift values stay central)."""
+
+        def lift(vec):
+            return tuple(c.map_to(big_ring) for c in vec)
+
+        bracket = tuple(tuple(lift(vec) for vec in table) for table in self.bracket)
         anchor = tuple(d.map_to(big_ring) for d in self.anchor)
-        p_op = tuple(tuple(c.map_to(big_ring) for c in vec) for vec in self.p_op)
-        return AlgebroidPresentation(big_ring, self.rank, bracket, anchor, p_op)
+        p_op = tuple(lift(vec) for vec in self.p_op)
+        shift = tuple((f.map_to(big_ring), lift(vec)) for f, vec in self.shift)
+        return AlgebroidPresentation(big_ring, self.rank, bracket, anchor, p_op, shift)
 
     def __str__(self):
         return (
@@ -397,6 +407,8 @@ def rees_algebroid(A: AlgebroidPresentation) -> AlgebroidPresentation:
     and anchor are scaled by t, the p-operation by t^(p-1).  At t = 1 this
     recovers A; at t = 0 the bracket and anchor vanish and the p-operation
     becomes the trivial one."""
+    if A.shift:
+        raise ValueError("the Rees deformation of a shifted p-structure is not supported")
     if A.ring.rees_variable is not None:
         raise ValueError("deformation variable already present")
     if "t" in A.ring.variables:
@@ -415,6 +427,8 @@ def rees_algebroid(A: AlgebroidPresentation) -> AlgebroidPresentation:
 
 def specialize_t(A: AlgebroidPresentation, value: int) -> AlgebroidPresentation:
     """Substitute a field constant for the deformation variable and drop it."""
+    if A.shift:
+        raise ValueError("specializing a shifted p-structure is not supported")
     name = A.ring.rees_variable
     if name is None:
         raise ValueError("no deformation variable to specialize")
@@ -443,39 +457,11 @@ def specialize_t(A: AlgebroidPresentation, value: int) -> AlgebroidPresentation:
 # -- p-structure shifts ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PStructureShift:
-    """A p-structure shifted by a p-linear central map: on basis elements
-    e_a^[p]' = e_a^[p] + phi_a, where each phi_a is a central element of
-    the enveloping algebra of filtration degree at most 1 (often a function
+def shift_p_structure(A: AlgebroidPresentation, phi) -> AlgebroidPresentation:
+    """A with its p-operation shifted on basis elements,
+    e_a^[p]' = e_a^[p] + phi_a, one value per basis element given as a
+    polynomial or a degree-at-most-1 operator over A (often a function
     whose ordinary exponents are all divisible by p).
-
-    The shifted operation need not stay inside H, so this is an
-    enveloping-level structure; the p-curvature and descent machinery
-    accept it wherever a plain presentation is accepted.
-    """
-
-    base: AlgebroidPresentation
-    phi: tuple  # one OperatorElement per basis element
-
-    @property
-    def algebroid(self) -> AlgebroidPresentation:
-        return self.base
-
-    @property
-    def ring(self) -> PolyRing:
-        return self.base.ring
-
-    def shifted_p_op(self, a: int):
-        """e_a^[p]' as an enveloping-algebra element."""
-        from . import operators
-
-        return operators.from_h_element(self.base, self.base.p_op[a]) + self.phi[a]
-
-
-def shift_p_structure(A: AlgebroidPresentation, phi) -> PStructureShift:
-    """Shift the p-operation of A by phi (one value per basis element,
-    given as polynomials or degree-at-most-1 operators).
 
     Each value is checked to be central in the enveloping algebra; a
     non-central value is rejected, since the shifted operation would
@@ -483,7 +469,9 @@ def shift_p_structure(A: AlgebroidPresentation, phi) -> PStructureShift:
     """
     from . import operators
 
-    values = []
+    if A.shift:
+        raise ValueError("the p-structure is already shifted")
+    shift = []
     for v in phi:
         if isinstance(v, Poly):
             v = operators.from_poly(A, v)
@@ -493,10 +481,8 @@ def shift_p_structure(A: AlgebroidPresentation, phi) -> PStructureShift:
             raise ValueError("shift values must have filtration degree at most 1")
         if not v.is_central():
             raise ValueError(f"shift value {v} is not central")
-        values.append(v)
-    if len(values) != A.rank:
-        raise ValueError("one shift value per basis element required")
-    return PStructureShift(A, tuple(values))
+        shift.append(v.lambda1_parts())
+    return replace(A, shift=tuple(shift))
 
 
 # -- anchor surjectivity -----------------------------------------------------

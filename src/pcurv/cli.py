@@ -94,8 +94,7 @@ class Scenario:
     p: int
     rees: bool
     expect: str | None
-    algebroid: AlgebroidPresentation     # after the optional Rees step
-    structure: object                    # algebroid or PStructureShift
+    algebroid: AlgebroidPresentation     # after the optional Rees and shift steps
     module: ConnectionModule | None
 
 
@@ -234,12 +233,11 @@ def load_scenario(path: str) -> Scenario:
     except ValueError as err:
         raise ScenarioError(str(err)) from err
 
-    structure = algebroid
     if "shift" in doc:
         shift_block = _require(doc, "shift", dict)
         phi = _require_array(shift_block, "shift.phi", algebroid.ring, (rank,))
         try:
-            structure = shift_p_structure(algebroid, phi)
+            algebroid = shift_p_structure(algebroid, phi)
         except ValueError as err:
             raise ScenarioError(f"shift rejected: {err}") from err
 
@@ -261,7 +259,6 @@ def load_scenario(path: str) -> Scenario:
         rees=rees,
         expect=expect,
         algebroid=algebroid,
-        structure=structure,
         module=module,
     )
 
@@ -288,7 +285,7 @@ def _run_validate(scenario, rep, seed, trials, degree):
     rep.merge("p_structure", validate_p_structure(scenario.algebroid, trials=trials, seed=seed, max_degree=degree))
     rep.merge(
         "enveloping",
-        ops.check_enveloping_p_structure(scenario.structure, trials=trials, seed=seed, max_degree=degree),
+        ops.check_enveloping_p_structure(scenario.algebroid, trials=trials, seed=seed, max_degree=degree),
     )
     if scenario.module is not None:
         rep.merge("module", scenario.module.flatness)
@@ -300,7 +297,7 @@ def _run_pcurvature(scenario, rep, seed, trials, degree):
     if not module.flatness.passed:
         return None
     try:
-        C = p_curvature(module, structure=scenario.structure)
+        C = p_curvature(module)
     except ValueError as err:
         rep.add("pcurvature.order_zero", False, witness=str(err))
         return None
@@ -362,7 +359,7 @@ def _run_rees(scenario, rep, seed, trials, degree):
     _require_odd_p(scenario, "rees")
     if not scenario.rees:
         raise ScenarioError("the rees command needs a scenario with \"rees\": true")
-    if not isinstance(scenario.structure, AlgebroidPresentation):
+    if scenario.algebroid.shift:
         raise ScenarioError("the rees command does not support shifted structures")
     C, invariants = _run_hitchin(scenario, rep, seed, trials, degree)
     if invariants is None:

@@ -377,7 +377,6 @@ class PCurvature:
     """The p-curvature matrices psi_a = (nabla_{e_a})^p - nabla_{e_a^[p]}."""
 
     module: ConnectionModule
-    structure: object  # AlgebroidPresentation or PStructureShift
     psi: tuple  # psi[a] = r x r Poly matrix
 
     @property
@@ -404,17 +403,17 @@ def _constant_action(M: ConnectionModule, f: Poly, coeffs):
     return out
 
 
-def _katz_psi(M: ConnectionModule, coeffs, structure):
+def _katz_psi(M: ConnectionModule, coeffs):
     """psi(D) = (nabla_D)^p - nabla_{D^[p]} for D = sum_k g_k e_k, with
-    D^[p] = f + sum_k h_k e_k read from ``structure`` by
-    :func:`~pcurv.operators.p_operation_lambda1`.
+    D^[p] = f + sum_k h_k e_k read from the module's algebroid, its shift
+    included, by :func:`~pcurv.operators.p_operation_lambda1`.
 
     Returns the matrix X_p - (f I + sum_k h_k A_k) of the recurrence
     X_1 = B, X_{k+1} = delta_D(X_k) + B . X_k with B = sum_k g_k A_k, and
     the derivation delta_D^p - anchor(h), the differential part of psi(D)
     (zero exactly when psi(D) is O_X-linear)."""
     A = M.algebroid
-    target = ops.p_operation_lambda1(structure, ops.from_h_element(A, coeffs))
+    target = ops.p_operation_lambda1(ops.from_h_element(A, coeffs))
     f, h = target.lambda1_parts()
     delta = A.anchor_of(coeffs)
     B = _constant_action(M, M.ring.zero(), coeffs)
@@ -428,32 +427,30 @@ def _katz_psi(M: ConnectionModule, coeffs, structure):
     return mat_sub(X, _constant_action(M, f, h)), residue
 
 
-def p_curvature(M: ConnectionModule, structure=None) -> PCurvature:
+def p_curvature(M: ConnectionModule) -> PCurvature:
     """Compute the p-curvature of a flat module.
 
     psi_a is O_X-linear, so it is computed on the unit sections by Katz's
     recurrence X_1 = A_a, X_{k+1} = delta_a(X_k) + A_a . X_k, as
     psi_a = X_p - (f I + sum_k h_k A_k) with e_a^[p] = f + sum_k h_k e_k
-    (the shifted value when ``structure`` is a :class:`PStructureShift`).
+    (the shifted value when the algebroid's p-structure is shifted).
     By Jacobson's formula the only possible differential part of
     (nabla_{e_a})^p - nabla_{e_a^[p]} is the scalar derivation
     delta_a^p - anchor(h); a nonzero one signals a p-operation that is
     incompatible with the anchor and raises.
     """
-    if structure is None:
-        structure = M.algebroid
     A = M.algebroid
     if not M.flatness.passed:
         raise ValueError("module is not flat")
     psi = []
     for a in range(A.rank):
-        matrix, residue = _katz_psi(M, A.h_basis(a), structure)
+        matrix, residue = _katz_psi(M, A.h_basis(a))
         if not residue.is_zero():
             raise ValueError(
                 f"p-curvature of e{a + 1} has a differential part of order 1: {residue}"
             )
         psi.append(matrix)
-    return PCurvature(M, structure, tuple(psi))
+    return PCurvature(M, tuple(psi))
 
 
 def check_abstract_action_oracle(C: PCurvature) -> ValidationReport:
@@ -464,7 +461,7 @@ def check_abstract_action_oracle(C: PCurvature) -> ValidationReport:
     M, A = C.module, C.algebroid
     bad = []
     for a in range(A.rank):
-        central = ops.p_curvature_element(C.structure, ops.generator(A, a))
+        central = ops.p_curvature_element(ops.generator(A, a))
         represented = represent_operator(M, central).reduce_action()
         if represented.order() > 0:
             bad.append(f"e{a + 1}: represented element has positive order")
@@ -487,7 +484,7 @@ def check_p_linearity(C: PCurvature, panel) -> ValidationReport:
     bad = []
     for f in panel:
         for a in range(A.rank):
-            matrix, residue = _katz_psi(M, A.h_scale(f, A.h_basis(a)), C.structure)
+            matrix, residue = _katz_psi(M, A.h_scale(f, A.h_basis(a)))
             if not residue.is_zero():
                 bad.append(f"f={f}, e{a + 1}: positive order")
             elif matrix != mat_scale(f**p, C.psi[a]):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 
-from .algebroid import AlgebroidPresentation, PStructureShift
+from .algebroid import AlgebroidPresentation
 from .panels import random_poly, random_vector
 from .poly import Poly, ResourceLimitError, left_power, render_terms
 from .report import ValidationReport
@@ -272,41 +272,32 @@ def _generator_times_monomial(A: AlgebroidPresentation, a: int, beta) -> Operato
 # -- p-structure on degree-at-most-1 elements ------------------------------------
 
 
-def _base_algebroid(structure) -> AlgebroidPresentation:
-    if isinstance(structure, PStructureShift):
-        return structure.base
-    return structure
-
-
-def p_operation_lambda1(structure, op: OperatorElement) -> OperatorElement:
+def p_operation_lambda1(op: OperatorElement) -> OperatorElement:
     """The p-operation extended to filtration degree 1:
 
         (f + D)^[p] = f^p + D^[p] + delta_D^{p-1}(f)
 
-    with D^[p] taken from the presentation (plus the central shift values
-    when ``structure`` is a :class:`PStructureShift`)."""
-    A = _base_algebroid(structure)
-    if op.algebroid != A:
-        raise ValueError("operator over a different algebroid")
+    with D^[p] taken from the presentation ``op.algebroid``: for
+    D = sum_a g_a e_a, its p-operation on H plus the central shift values
+    sum_a g_a^p phi_a when the p-structure is shifted."""
+    A = op.algebroid
     p = A.p
     f, coeffs = op.lambda1_parts()
     h_value = A.p_operation(coeffs)
     correction = A.anchor_of(coeffs).apply_iter(f, p - 1)
     out = from_lambda1(A, f**p + correction, h_value)
-    if isinstance(structure, PStructureShift):
-        for g, phi_a in zip(coeffs, structure.phi):
-            if not g.is_zero():
-                out = out + phi_a.scale(g**p)
+    for g, (phi_f, phi_h) in zip(coeffs, A.shift):
+        if not g.is_zero():
+            out = out + from_lambda1(A, phi_f, phi_h).scale(g**p)
     return out
 
 
-def p_curvature_element(structure, op: OperatorElement, check_central=True) -> OperatorElement:
+def p_curvature_element(op: OperatorElement, check_central=True) -> OperatorElement:
     """op^p - op^[p]: the central element whose action on any module is the
     p-curvature in the direction of op.  Functions map to 0; over the
     tangent algebroid the coordinate fields map to their plain p-th powers.
     """
-    A = _base_algebroid(structure)
-    value = op**A.p - p_operation_lambda1(structure, op)
+    value = op**op.algebroid.p - p_operation_lambda1(op)
     if check_central and not value.is_central():
         raise ValueError(
             f"p-curvature element of {op} is not central; the supplied "
@@ -324,8 +315,7 @@ def lie_polynomials(x: OperatorElement, y: OperatorElement):
     (function, H-vector) parts by
     :meth:`~pcurv.algebroid.AlgebroidPresentation.lie_polynomials`.
     """
-    if x.algebroid != y.algebroid:
-        raise ValueError("operators over different algebroids")
+    x._check(y)
     A = x.algebroid
     pairs = A.lie_polynomials(x.lambda1_parts(), y.lambda1_parts())
     return [from_lambda1(A, f, coeffs) for f, coeffs in pairs]
@@ -334,18 +324,17 @@ def lie_polynomials(x: OperatorElement, y: OperatorElement):
 # -- battery of enveloping-algebra identities -------------------------------------
 
 
-def check_enveloping_p_structure(structure, *, trials=10, seed=0, max_degree=3) -> ValidationReport:
+def check_enveloping_p_structure(A: AlgebroidPresentation, *, trials=10, seed=0, max_degree=3) -> ValidationReport:
     """Verify, inside the normal-form algebra, that the presentation's
-    p-operation extends to a p-structure on filtration degree 1, together
-    with the classical associated identities (Jacobson's formula, the
-    twisted scaling rules for derivations, and the behaviour of the
-    universal Lie polynomials against functions).
+    p-operation, its shift included, extends to a p-structure on filtration
+    degree 1, together with the classical associated identities (Jacobson's
+    formula, the twisted scaling rules for derivations, and the behaviour
+    of the universal Lie polynomials against functions).
 
     All checks are exact on seeded random panels.  Note that the scaling
     identity relating (f*D)^p to D^p carries the constant (p-1)! = -1
     (Wilson's theorem) in front of the f*delta^{p-1}(f^{p-1})*D term.
     """
-    A = _base_algebroid(structure)
     rep = ValidationReport(f"enveloping p-structure: {A}")
     p = A.p
     rng = random.Random(seed)
@@ -364,7 +353,7 @@ def check_enveloping_p_structure(structure, *, trials=10, seed=0, max_degree=3) 
 
     def ad_axiom_on_degree_one():
         d = rand_lambda1()
-        dp = p_operation_lambda1(structure, d)
+        dp = p_operation_lambda1(d)
         for e in probes:
             rhs = e
             for _ in range(p):
@@ -379,16 +368,16 @@ def check_enveloping_p_structure(structure, *, trials=10, seed=0, max_degree=3) 
 
     def additivity_with_lie_polynomials():
         x, y = rand_lambda1(), rand_lambda1()
-        lhs = p_operation_lambda1(structure, x + y)
-        rhs = p_operation_lambda1(structure, x) + p_operation_lambda1(structure, y)
+        lhs = p_operation_lambda1(x + y)
+        rhs = p_operation_lambda1(x) + p_operation_lambda1(y)
         if lhs != sum(lie_polynomials(x, y), rhs):
             return f"x={x}, y={y}"
 
     def function_multiple_rule():
         f, d = rand_poly(), rand_lambda1()
         correction = A.anchor_of(d.lambda1_parts()[1]).scale(f).apply_iter(f, p - 1)
-        rhs = p_operation_lambda1(structure, d).scale(f**p) + d.scale(correction)
-        if p_operation_lambda1(structure, d.scale(f)) != rhs:
+        rhs = p_operation_lambda1(d).scale(f**p) + d.scale(correction)
+        if p_operation_lambda1(d.scale(f)) != rhs:
             return f"f={f}, D={d}"
 
     def deligne_identity():
@@ -463,17 +452,17 @@ def check_enveloping_p_structure(structure, *, trials=10, seed=0, max_degree=3) 
     for _ in range(trials):
         d1, d2 = rand_lambda1(), rand_lambda1()
         f = rand_poly()
-        i1 = p_curvature_element(structure, d1, check_central=False)
-        i2 = p_curvature_element(structure, d2, check_central=False)
+        i1 = p_curvature_element(d1, check_central=False)
+        i2 = p_curvature_element(d2, check_central=False)
         if not i1.is_central():
             bad_central.append(f"D={d1}")
-        if p_curvature_element(structure, d1 + d2, check_central=False) != i1 + i2:
+        if p_curvature_element(d1 + d2, check_central=False) != i1 + i2:
             bad_add.append(f"D1={d1}, D2={d2}")
-        if p_curvature_element(structure, d1.scale(f), check_central=False) != i1.scale(f**p):
+        if p_curvature_element(d1.scale(f), check_central=False) != i1.scale(f**p):
             bad_scale.append(f"f={f}, D={d1}")
         h = from_h_element(A, rand_h())
         if not h.is_zero():
-            ih = p_curvature_element(structure, h, check_central=False)
+            ih = p_curvature_element(h, check_central=False)
             if ih.top_symbol() != h.top_symbol() ** p:
                 bad_symbol.append(f"D={h}")
     rep.check("p_curvature_element_central", bad_central, shown=1, trials=trials)

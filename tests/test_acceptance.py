@@ -95,8 +95,7 @@ def shifted_case(p):
     R = ring(p)
     A = tangent_algebroid(R)
     shift = shift_p_structure(A, [R.variable("x") ** p])
-    M = ConnectionModule(A, 1, (((R.variable("x") ** 2,),),))
-    return M, shift
+    return ConnectionModule(shift, 1, (((R.variable("x") ** 2,),),))
 
 
 def rees_case(p):
@@ -155,17 +154,16 @@ def test_criterion_3_order_zero_and_oracle():
         rng = random.Random(100 + p)
         started = time.monotonic()
         cases = [
-            (crystalline_1d(p), None),
-            (crystalline_1d(p, rank=2, rng=rng), None),
-            (crystalline_2d_rank2(p), None),
+            crystalline_1d(p),
+            crystalline_1d(p, rank=2, rng=rng),
+            crystalline_2d_rank2(p),
+            *higgs_modules(p, rng),
+            shifted_case(p),
+            rees_case(p),
         ]
-        cases.extend((M, None) for M in higgs_modules(p, rng))
-        M, shift = shifted_case(p)
-        cases.append((M, shift))
-        cases.append((rees_case(p), None))
-        for M, structure in cases:
+        for M in cases:
             assert validate_flatness(M).passed
-            C = p_curvature(M, structure=structure)  # raises on any higher-order part
+            C = p_curvature(M)  # raises on any higher-order part
             oracle = check_abstract_action_oracle(C)
             assert oracle.passed, oracle.failures()[0].witness
         timings[p] = time.monotonic() - started

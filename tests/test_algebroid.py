@@ -1,7 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+from pcurv import operators as ops
 from pcurv.algebroid import (
     AlgebroidPresentation,
     anchor_generic_surjectivity,
@@ -182,19 +184,63 @@ class TestShift:
         R = ring(3)
         A = tangent_algebroid(R)
         sh = shift_p_structure(A, [parse_poly("x^3", R)])
-        assert str(sh.shifted_p_op(0)) == "x^3"
+        assert str(ops.p_operation_lambda1(ops.generator(sh, 0))) == "x^3"
 
     def test_zero_shift_is_identity(self):
         R = ring(3)
         A = tangent_algebroid(R)
         sh = shift_p_structure(A, [R.zero()])
-        assert sh.shifted_p_op(0).is_zero()
+        assert ops.p_operation_lambda1(ops.generator(sh, 0)).is_zero()
 
     def test_non_central_shift_rejected(self):
         R = ring(3)
         A = tangent_algebroid(R)
         with pytest.raises(ValueError, match="not central"):
             shift_p_structure(A, [R.variable("x")])
+
+    def test_already_shifted_rejected(self):
+        R = ring(3)
+        sh = shift_p_structure(tangent_algebroid(R), [parse_poly("x^3", R)])
+        with pytest.raises(ValueError, match="already shifted"):
+            shift_p_structure(sh, [parse_poly("x^6", R)])
+
+    def test_presentation_checks_shift_length_and_ring(self):
+        R, other = ring(3), ring(3, ("y",))
+        A = tangent_algebroid(R)
+        with pytest.raises(ValueError, match="one shift value per basis element"):
+            replace(A, shift=((R.zero(), (R.zero(),)),) * 2)
+        with pytest.raises(ValueError, match="shift value from a different ring"):
+            replace(A, shift=((other.zero(), (R.zero(),)),))
+        with pytest.raises(ValueError, match="shift value from a different ring"):
+            replace(A, shift=((R.zero(), (other.zero(),)),))
+
+    def test_map_to_carries_shift(self):
+        R = ring(3)
+        sh = shift_p_structure(tangent_algebroid(R), [parse_poly("x^3", R)])
+        big_ring, _ = R.adjoin("s")
+        big = sh.map_to(big_ring)
+        assert big.shift == ((parse_poly("x^3", big_ring), (big_ring.zero(),)),)
+        assert str(ops.p_operation_lambda1(ops.generator(big, 0))) == "x^3"
+
+    def test_rees_and_specialize_refuse_shift(self):
+        R = ring(3)
+        sh = shift_p_structure(tangent_algebroid(R), [parse_poly("x^3", R)])
+        with pytest.raises(ValueError, match="shifted p-structure"):
+            rees_algebroid(sh)
+        AR = rees_algebroid(tangent_algebroid(R))
+        shifted_family = shift_p_structure(AR, [parse_poly("x^3", AR.ring)])
+        with pytest.raises(ValueError, match="shifted p-structure"):
+            specialize_t(shifted_family, 1)
+
+    def test_shift_lives_only_at_enveloping_level(self):
+        # the validators on H read the tables alone; the enveloping battery
+        # sees the shift and still passes, since the shift is central
+        R = ring(3)
+        A = tangent_algebroid(R)
+        sh = shift_p_structure(A, [parse_poly("x^3", R)])
+        assert validate_algebroid(sh, trials=3) == validate_algebroid(A, trials=3)
+        assert validate_p_structure(sh, trials=3) == validate_p_structure(A, trials=3)
+        assert ops.check_enveloping_p_structure(sh, trials=3).passed
 
 
 class TestAnchorSurjectivity:
@@ -224,8 +270,6 @@ class TestAnchorSurjectivity:
 class TestRoundTrip:
     def test_enveloping_symbols_reproduce_presentation(self):
         # reading bracket/anchor/[p] back through the enveloping algebra
-        from pcurv import operators as ops
-
         rng = random.Random(5)
         R = ring(3, ("x", "y"))
         A = tangent_algebroid(R)
@@ -239,6 +283,6 @@ class TestRoundTrip:
                 # anchor read back from commutators with functions
                 g = random_poly(rng, R, 3)
                 assert ea.commutator(ops.from_poly(A, g)).function_part() == A.anchor[a](g)
-            got = ops.p_operation_lambda1(A, ops.generator(A, a))
+            got = ops.p_operation_lambda1(ops.generator(A, a))
             f, coeffs = got.lambda1_parts()
             assert f.is_zero() and coeffs == A.p_op[a]

@@ -466,7 +466,7 @@ class TestMatMulCost:
     def test_p_linearity_matrix_products(self, tmp_path, monkeypatch, rank, coordinates, entrywise):
         p = 7
         scenario = load_scenario(write_scenario(tmp_path, line_module_doc(p, rank, coordinates)))
-        C = connection.p_curvature(scenario.module, scenario.structure)
+        C = connection.p_curvature(scenario.module)
         panel = poly_panel(C.ring, 2, seed=0, max_degree=2)
         counts = Counter()
         poly_mul = Poly.__mul__
@@ -595,7 +595,7 @@ class TestOracleCost:
     def test_oracle_multiplies_by_one_action_at_a_time(self, tmp_path, monkeypatch):
         p = 13
         scenario = load_scenario(crystalline_1d_at(tmp_path, p))
-        C = connection.p_curvature(scenario.module, scenario.structure)
+        C = connection.p_curvature(scenario.module)
         actions = scenario.module.actions
         left_factors = []
         multiply = connection.MatrixDiffOp.__mul__
@@ -624,7 +624,7 @@ class TestHiggsCommutationCost:
 
     def test_each_commutator_is_two_matrix_products(self, monkeypatch):
         scenario = load_scenario(GOLDEN / "higgs_wide_p5.json")
-        C = connection.p_curvature(scenario.module, scenario.structure)
+        C = connection.p_curvature(scenario.module)
         counts = Counter()
         per_commutator = []
         mat_mul = connection.mat_mul

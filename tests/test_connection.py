@@ -159,8 +159,8 @@ class TestPCurvature:
         R = ring(3)
         A = tangent_algebroid(R)
         sh = shift_p_structure(A, [parse_poly("x^3", R)])
-        M = scalar_module(A, parse_poly("x^2", R))
-        C = p_curvature(M, structure=sh)
+        M = scalar_module(sh, parse_poly("x^2", R))
+        C = p_curvature(M)
         assert C.psi[0] == ((parse_poly("x^6 - x^3 + 2", R),),)
 
     def test_broken_structure_leaves_higher_order(self):
@@ -339,7 +339,7 @@ class TestKatzAgainstOracleShifted:
     @given(shifted_line_modules())
     def test_line_modules_with_pth_power_shift(self, case):
         M, phi = case
-        C = p_curvature(M, shift_p_structure(M.algebroid, [phi]))
+        C = p_curvature(ConnectionModule(shift_p_structure(M.algebroid, [phi]), M.rank, M.matrices))
         assert check_abstract_action_oracle(C).passed
         assert check_p_linearity(C, poly_panel(M.ring, 1, max_degree=1)).passed
         shift = mat_scale(phi, identity_matrix(M.ring, M.rank))
@@ -351,7 +351,7 @@ class TestKatzAgainstOracleShifted:
         M, phi = case
         H = M.algebroid
         values = [ops.from_lambda1(H, f, g) for f, g in phi]
-        C = p_curvature(M, shift_p_structure(H, values))
+        C = p_curvature(ConnectionModule(shift_p_structure(H, values), M.rank, M.matrices))
         assert check_abstract_action_oracle(C).passed
         assert check_p_linearity(C, poly_panel(M.ring, 1, max_degree=1)).passed
         for psi, plain, (f, g) in zip(C.psi, p_curvature(M).psi, phi):

@@ -1,4 +1,5 @@
-"""Every narrative script under demos/ runs to completion."""
+"""Every narrative script under demos/ runs to completion and prints
+exactly its pinned output under tests/golden/demos/."""
 
 import pathlib
 import subprocess
@@ -6,7 +7,9 @@ import sys
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+HERE = pathlib.Path(__file__).resolve().parent
+DEMOS = sorted((HERE.parent / "demos").glob("*.py"))
+GOLDEN = HERE / "golden" / "demos"
 
 
 def test_demos_found():
@@ -16,7 +19,7 @@ def test_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo):
     result = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, timeout=60
+        [sys.executable, str(demo)], capture_output=True, timeout=60
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == (GOLDEN / f"{demo.stem}.out").read_bytes()

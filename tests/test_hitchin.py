@@ -95,7 +95,7 @@ class TestCharPoly:
         R = psi[0][0][0].ring
         H = higgs_algebroid(R, 2, [[R.zero()] * 2] * 2)
         zero = mat_scalar(R.zero(), R.zero(), 2)
-        C = PCurvature(ConnectionModule(H, 2, (zero, zero)), H, psi)
+        C = PCurvature(ConnectionModule(H, 2, (zero, zero)), psi)
         if mat_is_zero(mat_commutator(*psi)):
             (e1, _) = hitchin_invariants(C).coefficients
             assert e1 == {
