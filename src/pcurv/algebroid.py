@@ -109,12 +109,13 @@ class AlgebroidPresentation:
         return all(c.is_zero() for c in D)
 
     def anchor_of(self, D) -> Derivation:
-        """The anchor of a general element, sum g_a * delta(e_a)."""
-        out = Derivation.zero(self.ring)
-        for g, d in zip(D, self.anchor):
-            if not g.is_zero():
-                out = out + d.scale(g)
-        return out
+        """The anchor of a general element, sum g_a * delta(e_a), summed
+        component by component into one derivation."""
+        comps = []
+        for j in range(self.ring.nvars):
+            terms = [g * d.components[j] for g, d in zip(D, self.anchor) if g and d.components[j]]
+            comps.append(sum(terms[1:], terms[0]) if terms else self.ring.zero())
+        return Derivation(self.ring, comps)
 
     def h_bracket(self, D, E):
         """Bracket of two coefficient vectors, extended by the Leibniz rule."""

@@ -68,6 +68,10 @@ DEGREE_LIMIT = 10**6
 # Width of one exponent field of a packed monomial: holds 0..DEGREE_LIMIT.
 FIELD_BITS = DEGREE_LIMIT.bit_length()
 FIELD_MASK = (1 << FIELD_BITS) - 1
+# Parser bounds: deeper nesting or a longer integer literal is bad input,
+# rejected before it can exhaust the stack or the int conversion limit.
+NESTING_LIMIT = 200
+LITERAL_DIGITS = 1000
 # The packed terms of the polynomial 1: the unit monomial packs to key 0.
 _UNIT = {0: 1}
 # struct codes of little-endian unsigned ints: digits of these byte widths
@@ -364,6 +368,11 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_ring(other)
+        # Values are immutable, so a sum with 0 can be the other operand.
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         p = self.ring.p
         out = dict(self._terms)
         for k, c in other._terms.items():
@@ -406,6 +415,12 @@ class Poly:
             raise ResourceLimitError("product degree exceeds the configured bound")
         if len(big) < len(small):
             big, small = small, big
+        p = self.ring.p
+        if len(small) == 1:
+            # Adding one key is injective and p is prime: nothing collects
+            # and no coefficient vanishes.
+            ((kb, cb),) = small.items()
+            return _poly(self.ring, {ka + kb: ca * cb % p for ka, ca in big.items()})
         small = tuple(small.items())
         out: dict = {}
         get = out.get
@@ -413,7 +428,6 @@ class Poly:
             for kb, cb in small:
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
-        p = self.ring.p
         return _poly(self.ring, {k: r for k, c in out.items() if (r := c % p)})
 
     __rmul__ = __mul__
@@ -591,10 +605,11 @@ class Derivation:
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
-        if len(self.components) != self.ring.nvars:
+        ring = self.ring
+        if len(self.components) != ring.nvars:
             raise ValueError("one component per ring variable required")
         for c in self.components:
-            if c.ring != self.ring:
+            if c.ring is not ring and c.ring != ring:
                 raise ValueError("component from a different ring")
 
     @classmethod
@@ -608,15 +623,15 @@ class Derivation:
         return cls(ring, tuple(comps))
 
     def __call__(self, f: Poly) -> Poly:
-        if f.ring != self.ring:
+        if f.ring is not self.ring and f.ring != self.ring:
             raise ValueError("polynomial from a different ring")
-        out = self.ring.zero()
+        out = None
         for j, comp in enumerate(self.components):
-            if comp._terms == _UNIT:
-                out = out + f.derive(j)
-            elif comp:
-                out = out + comp * f.derive(j)
-        return out
+            if not comp:
+                continue
+            term = f.derive(j) if comp._terms == _UNIT else comp * f.derive(j)
+            out = term if out is None else out + term
+        return self.ring.zero() if out is None else out
 
     def apply_iter(self, f: Poly, k: int) -> Poly:
         for _ in range(k):
@@ -680,6 +695,7 @@ class _Parser:
         self.src = src
         self.ring = ring
         self.pos = 0
+        self.depth = 0
 
     def error(self, message):
         raise PolyParseError(message, self.pos)
@@ -699,6 +715,9 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             self.error("expected an integer")
+        if self.pos - start > LITERAL_DIGITS:
+            self.pos = start
+            self.error(f"integer literal longer than {LITERAL_DIGITS} digits")
         return int(self.src[start : self.pos])
 
     def take_name(self) -> str:
@@ -746,11 +765,15 @@ class _Parser:
     def parse_factor(self) -> Poly:
         ch = self.peek()
         if ch == "(":
+            if self.depth == NESTING_LIMIT:
+                self.error(f"parentheses nested deeper than {NESTING_LIMIT}")
             self.pos += 1
+            self.depth += 1
             value = self.parse_expr()
             if self.peek() != ")":
                 self.error("expected ')'")
             self.pos += 1
+            self.depth -= 1
             return value
         if ch.isdigit():
             return self.ring.constant(self.take_int())

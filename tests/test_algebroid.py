@@ -2,6 +2,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcurv import operators as ops
 from pcurv.algebroid import (
@@ -21,6 +23,50 @@ from pcurv.poly import Derivation, PolyRing, PrimeField, parse_poly
 
 def ring(p, names=("x",), rees=None):
     return PolyRing(PrimeField(p), tuple(names), rees)
+
+
+def fold_anchor_of(A, D):
+    """Test oracle for ``AlgebroidPresentation.anchor_of``: the fold
+    0 + g_1 delta(e_1) + ... through ``Derivation.scale`` and ``+``."""
+    out = Derivation.zero(A.ring)
+    for g, d in zip(D, A.anchor):
+        if not g.is_zero():
+            out = out + d.scale(g)
+    return out
+
+
+def coordinate_action(delta, f):
+    """Test oracle for ``Derivation.__call__``: sum_j c_j * d f/dx_j, every
+    term formed and added from 0."""
+    out = delta.ring.zero()
+    for j, c in enumerate(delta.components):
+        out = out + c * f.derive(j)
+    return out
+
+
+def random_anchor_algebroid(p, names, rank, seed):
+    """Zero bracket and p-operation, and anchors with random components,
+    some of them zero: a presentation of the right shape, not an algebroid."""
+    rng = random.Random(seed)
+    R = ring(p, names)
+    zero_vec = (R.zero(),) * rank
+    anchor = tuple(
+        Derivation(R, tuple(random_poly(rng, R, 2) if rng.random() < 0.7 else R.zero() for _ in names))
+        for _ in range(rank)
+    )
+    table = ((zero_vec,) * rank,) * rank
+    return AlgebroidPresentation(R, rank, table, anchor, (zero_vec,) * rank)
+
+
+ANCHOR_PRESENTATIONS = {
+    "tangent-x-p3": tangent_algebroid(ring(3)),
+    "tangent-x-p5": tangent_algebroid(ring(5)),
+    "tangent-xy-p3": tangent_algebroid(ring(3, ("x", "y"))),
+    "higgs-rank2-p3": higgs_algebroid(ring(3), 2, [[ring(3).variable("x"), ring(3).zero()]] * 2),
+    "rees-xy-p3": rees_algebroid(tangent_algebroid(ring(3, ("x", "y")))),
+    "random-anchor-xy-p5": random_anchor_algebroid(5, ("x", "y"), 3, seed=11),
+    "random-anchor-x-p7": random_anchor_algebroid(7, ("x",), 2, seed=12),
+}
 
 
 class TestTangent:
@@ -286,3 +332,29 @@ class TestRoundTrip:
             got = ops.p_operation_lambda1(ops.generator(A, a))
             f, coeffs = got.lambda1_parts()
             assert f.is_zero() and coeffs == A.p_op[a]
+
+
+class TestAnchorAction:
+    """``anchor_of`` builds the anchor of an element in one pass and a
+    derivation acts term by term; both must equal the plain folds."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(ANCHOR_PRESENTATIONS)),
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.lists(st.booleans(), min_size=3, max_size=3),
+        zero_f=st.booleans(),
+    )
+    def test_anchor_of_and_action_match_the_folds(self, name, seed, zeros, zero_f):
+        A = ANCHOR_PRESENTATIONS[name]
+        rng = random.Random(seed)
+        D = tuple(
+            A.ring.zero() if zero else random_poly(rng, A.ring, 3)
+            for zero, _ in zip(zeros, range(A.rank))
+        )
+        f = A.ring.zero() if zero_f else random_poly(rng, A.ring, 4, 4)
+        delta = A.anchor_of(D)
+        assert delta == fold_anchor_of(A, D)
+        assert delta(f) == coordinate_action(delta, f)
+        for d in A.anchor:
+            assert d(f) == coordinate_action(d, f)

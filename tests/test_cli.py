@@ -350,6 +350,44 @@ class TestMainEntry:
         assert "x^2 + 2" in result.stdout
 
 
+class TestParserBounds:
+    """Entries the parser cannot take whole (nesting past ``NESTING_LIMIT``,
+    an integer literal past ``LITERAL_DIGITS``) are bad input: exit 2, one
+    line naming the field, no traceback."""
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("(" * 3000 + "x" + ")" * 3000, "nested deeper"),
+            ("1" * 5000 + "*x", "integer literal longer"),
+            ("x^" + "1" * 5000, "integer literal longer"),
+        ],
+        ids=["deep-parentheses", "long-coefficient", "long-exponent"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "descend"])
+    def test_exits_2_with_one_line_naming_the_field(self, tmp_path, entry, message, command):
+        doc = minimal_doc()
+        doc["module"]["matrices"] = [[[entry]]]
+        result = subprocess.run(
+            [sys.executable, "-m", "pcurv", command, write_scenario(tmp_path, doc)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == EXIT_INPUT_ERROR
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: module.matrices[0][0][0]: ")
+        assert message in result.stderr
+
+    def test_entries_at_the_bounds_load(self, tmp_path):
+        doc = minimal_doc()
+        depth, digits = poly.NESTING_LIMIT, poly.LITERAL_DIGITS
+        doc["module"]["matrices"] = [[["(" * depth + "x" + ")" * depth + " + " + "1" * digits]]]
+        scenario = load_scenario(write_scenario(tmp_path, doc))
+        x = scenario.module.ring.variable("x")
+        assert scenario.module.matrices[0][0][0] == x + int("1" * digits)
+
+
 class TestArgumentBounds:
     CRYSTALLINE = str(SCENARIOS / "crystalline_1d.json")
 
@@ -652,3 +690,33 @@ class TestHiggsCommutationCost:
         assert counts["operator_mul"] == 0
         assert len(per_commutator) == scenario.algebroid.rank**2 == 9
         assert all(n <= 2 for n in per_commutator)
+
+
+class TestAnchorOfCost:
+    """``anchor_of`` sums the components of sum g_a delta(e_a) directly: one
+    ``Derivation`` per call, whatever the number of nonzero g_a, also over a
+    zero anchor."""
+
+    @pytest.mark.parametrize("stem", ["crystalline_2d", "higgs_rank2"])
+    def test_one_derivation_per_call(self, monkeypatch, stem):
+        built = Counter()
+        per_call = []
+        post_init = poly.Derivation.__post_init__
+        anchor_of = algebroid.AlgebroidPresentation.anchor_of
+
+        def counted_post_init(self):
+            built["derivation"] += 1
+            post_init(self)
+
+        def counted_anchor_of(self, D):
+            before = built["derivation"]
+            out = anchor_of(self, D)
+            per_call.append(built["derivation"] - before)
+            return out
+
+        monkeypatch.setattr(poly.Derivation, "__post_init__", counted_post_init)
+        monkeypatch.setattr(algebroid.AlgebroidPresentation, "anchor_of", counted_anchor_of)
+        report, code = run_scenario(str(SCENARIOS / f"{stem}.json"), "validate")
+        assert code == EXIT_OK
+        assert len(per_call) > 100
+        assert set(per_call) == {1}

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from pcurv.poly import (
     DEGREE_LIMIT,
+    LITERAL_DIGITS,
+    NESTING_LIMIT,
     Derivation,
     NotDescendable,
     Poly,
@@ -273,6 +275,27 @@ class TestParse:
         R = ring(3)
         with pytest.raises(PolyParseError):
             parse_poly("x 2", R)
+
+    def test_nesting_bound(self):
+        R = ring(3)
+        deep = "(" * NESTING_LIMIT + "x" + ")" * NESTING_LIMIT
+        assert parse_poly(deep, R) == R.variable("x")
+        with pytest.raises(PolyParseError, match="nested deeper") as err:
+            parse_poly("(" + deep + ")", R)
+        assert err.value.position == NESTING_LIMIT
+        # the bound is on depth, not on the number of groups
+        assert parse_poly("*".join(["(x)"] * (2 * NESTING_LIMIT)), R) == R.variable("x") ** 400
+
+    @pytest.mark.parametrize("template", ["{}*x", "x^{}"])
+    def test_literal_length_bound(self, template):
+        R = ring(3)
+        # the bound counts digits, leading zeros too
+        assert parse_poly(template.format("0" * (LITERAL_DIGITS - 1) + "2"), R) == parse_poly(
+            template.format("2"), R
+        )
+        with pytest.raises(PolyParseError, match="integer literal longer") as err:
+            parse_poly(template.format("0" * LITERAL_DIGITS + "2"), R)
+        assert err.value.position == template.index("{")
 
     @pytest.mark.parametrize("src", ["x^2 + 1", "2*x*y + 4*y", "0", "x^6 + 2"])
     def test_str_round_trip(self, src):
