@@ -22,6 +22,10 @@ degree bound (including a prime p above it, a field of the wrong JSON type
 such as a "rees" that is not true or false or a boolean where an integer
 belongs, and a --trials outside 1..MAX_TRIALS, --degree-panel below 0 or
 --n outside 1..MAX_IDENTITY_COORDINATES, all rejected before any work).
+Any fault found while reading or building a scenario exits 2 with one line
+naming the file (or the field): an unreadable or non-UTF-8 file, malformed
+or too deeply nested JSON, an over-long integer, a table rejected by a
+constructor.
 
 The structured (json) report format contains no timing information and is
 byte-identical across runs for the same scenario and seed; the text format
@@ -193,17 +197,23 @@ def _require_array(doc: dict, path: str, ring: PolyRing, shape):
 
 
 def load_scenario(path: str) -> Scenario:
+    """The scenario in the file at ``path``.  Every fault found while reading
+    or building it is a ScenarioError: those raised here and in ``_build``
+    pass through, any other is wrapped with the file name.  A
+    ResourceLimitError passes through."""
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
-    except OSError as err:
-        raise ScenarioError(f"cannot read {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ScenarioError(f"{path}: invalid JSON: {err}") from err
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{path}: scenario must be a JSON object")
-    if _require(doc, "schema_version", int) != SCHEMA_VERSION:
-        raise ScenarioError(f"{path}: unsupported schema_version")
+        if not isinstance(doc, dict):
+            raise ScenarioError(f"{path}: scenario must be a JSON object")
+        if _require(doc, "schema_version", int) != SCHEMA_VERSION:
+            raise ScenarioError(f"{path}: unsupported schema_version")
+        return _build(doc)
+    except (OSError, ValueError, RecursionError) as err:
+        raise ScenarioError(f"cannot load {path}: {err}") from err
+
+
+def _build(doc: dict) -> Scenario:
     name = _require(doc, "name", str)
     p = _require(doc, "p", int)
     coords = _require(doc, "coordinates", list)
@@ -213,10 +223,7 @@ def load_scenario(path: str) -> Scenario:
     expect = doc.get("expect")
     if expect not in (None, "descends", "not_descendable"):
         raise ScenarioError(f"unknown expectation {expect!r}")
-    try:
-        ring = PolyRing(PrimeField(p), tuple(coords))
-    except ValueError as err:
-        raise ScenarioError(str(err)) from err
+    ring = PolyRing(PrimeField(p), tuple(coords))
 
     block = _require(doc, "algebroid", dict)
     rank = _require(block, "algebroid.rank", int)
@@ -226,20 +233,13 @@ def load_scenario(path: str) -> Scenario:
     anchor_rows = _require_array(block, "algebroid.anchor", ring, (rank, ring.nvars))
     anchors = tuple(Derivation(ring, row) for row in anchor_rows)
     p_op = _require_array(block, "algebroid.p_op", ring, (rank, rank))
-    try:
-        algebroid = AlgebroidPresentation(ring, rank, bracket, anchors, p_op)
-        if rees:
-            algebroid = rees_algebroid(algebroid)
-    except ValueError as err:
-        raise ScenarioError(str(err)) from err
-
+    algebroid = AlgebroidPresentation(ring, rank, bracket, anchors, p_op)
+    if rees:
+        algebroid = rees_algebroid(algebroid)
     if "shift" in doc:
         shift_block = _require(doc, "shift", dict)
         phi = _require_array(shift_block, "shift.phi", algebroid.ring, (rank,))
-        try:
-            algebroid = shift_p_structure(algebroid, phi)
-        except ValueError as err:
-            raise ScenarioError(f"shift rejected: {err}") from err
+        algebroid = shift_p_structure(algebroid, phi)
 
     module = None
     if "module" in doc:
@@ -248,19 +248,9 @@ def load_scenario(path: str) -> Scenario:
         if r < 1:
             raise ScenarioError("module rank must be positive")
         matrices = _require_array(mod, "module.matrices", algebroid.ring, (rank, r, r))
-        try:
-            module = ConnectionModule(algebroid, r, matrices)
-        except ValueError as err:
-            raise ScenarioError(str(err)) from err
+        module = ConnectionModule(algebroid, r, matrices)
 
-    return Scenario(
-        name=name,
-        p=p,
-        rees=rees,
-        expect=expect,
-        algebroid=algebroid,
-        module=module,
-    )
+    return Scenario(name=name, p=p, rees=rees, expect=expect, algebroid=algebroid, module=module)
 
 
 # -- helpers ------------------------------------------------------------------

@@ -711,7 +711,8 @@ class _Parser:
     def take_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
+        # ASCII only: str.isdigit takes '²' (int() rejects it) and '٣' (read as 3)
+        while self.pos < len(self.src) and "0" <= self.src[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             self.error("expected an integer")
@@ -775,7 +776,7 @@ class _Parser:
             self.pos += 1
             self.depth -= 1
             return value
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             return self.ring.constant(self.take_int())
         if ch.isalpha() or ch == "_":
             at = self.pos

@@ -5,9 +5,12 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_bench_tracer import load_tracing
 
 from pcurv import algebroid, connection, hitchin, operators, poly
@@ -190,8 +193,6 @@ class TestRunScenario:
             run_scenario(str(SCENARIOS / "crystalline_1d.json"), "rees")
 
     def test_descend_requires_odd_p(self, tmp_path):
-        import warnings
-
         doc = minimal_doc(p=2)
         doc["module"]["matrices"] = [[["x"]]]
         with warnings.catch_warnings():
@@ -386,6 +387,98 @@ class TestParserBounds:
         scenario = load_scenario(write_scenario(tmp_path, doc))
         x = scenario.module.ring.variable("x")
         assert scenario.module.matrices[0][0][0] == x + int("1" * digits)
+
+
+def crystalline_1d_text(old="", new=""):
+    return (SCENARIOS / "crystalline_1d.json").read_text(encoding="utf-8").replace(old, new)
+
+
+class TestLoadFaults:
+    """Every fault found while reading or building a scenario is bad input:
+    exit 2, one line naming the file (or the field), no traceback."""
+
+    @pytest.mark.parametrize(
+        "content, field, message",
+        [
+            (
+                crystalline_1d_text('[[["x^2"]]]', "[" * 100_000 + "]" * 100_000).encode(),
+                None,
+                "recursion",
+            ),
+            (crystalline_1d_text("crystalline", "crystall\xefne").encode("latin-1"), None, "utf-8"),
+            (crystalline_1d_text('"p": 3', '"p": ' + "3" * 5000).encode(), None, "digits"),
+            (crystalline_1d_text("x^2", "x^²").encode(), "module.matrices[0][0][0]", "expected an integer"),
+            (crystalline_1d_text('["x"]', '["x", "x"]').encode(), None, "duplicate variable"),
+        ],
+        ids=["deep-json", "not-utf-8", "long-p", "superscript-exponent", "duplicate-coordinates"],
+    )
+    def test_exits_2_with_one_line(self, tmp_path, content, field, message):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        result = subprocess.run(
+            [sys.executable, "-m", "pcurv", "validate", str(path), "--trials", "1"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == EXIT_INPUT_ERROR
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+        assert result.stderr.startswith(f"error: {field or f'cannot load {path}'}: ")
+        assert message in result.stderr
+
+
+def scenario_locations(node, at=()):
+    """The key paths of every value in a JSON document, the root's included."""
+    yield at
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from scenario_locations(value, at + (key,))
+
+
+entry_strings = st.text("xy0123456789^*+-() ", max_size=8) | st.text(max_size=4)
+json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 12), st.floats(allow_nan=False), entry_strings,
+    st.just([]), st.just({}),
+)
+
+
+@st.composite
+def mutated_crystalline_1d(draw):
+    """``crystalline_1d.json`` after one to three edits: a key or element
+    deleted, a value swapped for one of another JSON type or for a short entry
+    string, or a list resized."""
+    doc = json.loads(crystalline_1d_text())
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.sampled_from(list(scenario_locations(doc))[1:]))
+        parent = doc
+        for key in at[:-1]:
+            parent = parent[key]
+        key = at[-1]
+        action = draw(st.sampled_from(["delete", "swap", "entry", "resize"]))
+        if action == "delete":
+            del parent[key]
+        elif action == "swap":
+            parent[key] = draw(json_values)
+        elif action == "entry":
+            parent[key] = draw(entry_strings)
+        elif isinstance(parent[key], list):
+            n = draw(st.integers(0, 3))
+            parent[key] = (parent[key] * 3)[:n] if parent[key] else [draw(json_values)] * n
+    return doc
+
+
+class TestLoaderFuzz:
+    @pytest.mark.parametrize("command", ["validate", "descend"])
+    @settings(max_examples=25, deadline=None)
+    @given(doc=mutated_crystalline_1d())
+    def test_mutated_scenario_exits_with_a_status(self, tmp_path_factory, command, doc):
+        path = tmp_path_factory.getbasetemp() / f"mutated-{command}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the p = 2 warning
+            assert main([command, str(path), "--trials", "1"]) in (
+                EXIT_OK, EXIT_MATH_FAILURE, EXIT_INPUT_ERROR,
+            )
 
 
 class TestArgumentBounds:

@@ -297,6 +297,22 @@ class TestParse:
             parse_poly(template.format("0" * LITERAL_DIGITS + "2"), R)
         assert err.value.position == template.index("{")
 
+    @pytest.mark.parametrize(
+        "src, position, message",
+        [
+            ("x^²", 2, "expected an integer"),
+            ("x^3²", 3, "trailing input"),
+            ("٣*x", 0, "expected a factor"),
+            ("x + ３", 4, "expected a factor"),
+        ],
+    )
+    def test_only_ascii_digits_are_integers(self, src, position, message):
+        """The grammar's INT is 0-9: a superscript or a non-ASCII decimal digit
+        is a syntax error at its position, not an int() failure or a digit."""
+        with pytest.raises(PolyParseError, match=message) as err:
+            parse_poly(src, ring(5))
+        assert err.value.position == position
+
     @pytest.mark.parametrize("src", ["x^2 + 1", "2*x*y + 4*y", "0", "x^6 + 2"])
     def test_str_round_trip(self, src):
         R = ring(5, ("x", "y"))
