@@ -383,14 +383,9 @@ def tangent_algebroid(ring: PolyRing) -> AlgebroidPresentation:
     zero_vec = tuple(ring.zero() for _ in range(m))
     bracket = tuple(tuple(zero_vec for _ in range(m)) for _ in range(m))
     anchor = tuple(Derivation.coordinate(ring, j) for j in coords)
-    p_op = []
-    for d in anchor:
-        dp = d.pth_power()
-        for j, comp in enumerate(dp.components):
-            if j not in coords and not comp.is_zero():
-                raise ValueError("p-th power leaves the coordinate directions")
-        p_op.append(tuple(dp.components[j] for j in coords))
-    return AlgebroidPresentation(ring, m, bracket, anchor, tuple(p_op))
+    # (d/dx_j)^p kills every variable, so each p-th power is the zero field
+    p_op = tuple(zero_vec for _ in range(m))
+    return AlgebroidPresentation(ring, m, bracket, anchor, p_op)
 
 
 def higgs_algebroid(ring: PolyRing, rank: int, alpha) -> AlgebroidPresentation:

@@ -25,7 +25,9 @@ belongs, and a --trials outside 1..MAX_TRIALS, --degree-panel below 0 or
 Any fault found while reading or building a scenario exits 2 with one line
 naming the file (or the field): an unreadable or non-UTF-8 file, malformed
 or too deeply nested JSON, an over-long integer, a table rejected by a
-constructor.
+constructor.  ``identities`` runs through the same loop with the same exit
+codes and messages, its errors naming the report (``identities-p3-n1``):
+``--p 4`` exits 2 with ``error: 4 is not prime``.
 
 The structured (json) report format contains no timing information and is
 byte-identical across runs for the same scenario and seed; the text format
@@ -289,9 +291,9 @@ def _run_pcurvature(scenario, rep, seed, trials, degree):
     try:
         C = p_curvature(module)
     except ValueError as err:
-        rep.add("pcurvature.order_zero", False, witness=str(err))
+        rep.check("pcurvature.order_zero", [str(err)])
         return None
-    rep.add("pcurvature.order_zero", True)
+    rep.check("pcurvature.order_zero", [])
     rep.data["psi"] = [mat_map(str, m) for m in C.psi]
     rep.merge("pcurvature", check_abstract_action_oracle(C))
     panel = poly_panel(C.ring, max(trials // 4, 2), seed=seed, max_degree=min(degree, 2))
@@ -331,10 +333,9 @@ def _run_descend(scenario, rep, seed, trials, degree):
     rep.data["anchor_generically_surjective"] = descent.anchor_surjective
     expects_failure = scenario.expect == "not_descendable"
     if expects_failure:
-        rep.add(
+        rep.check(
             "descent.expected_not_descendable",
-            not descent.all_descend,
-            witness=None if not descent.all_descend else "every coefficient descended",
+            ["every coefficient descended"] if descent.all_descend else [],
         )
     else:
         failures = [
@@ -373,14 +374,11 @@ def _run_rees(scenario, rep, seed, trials, degree):
             if not v.is_zero():
                 specialized[(k, yexp)] = v
         fiber_table = {(k, yexp): value for k, yexp, value in fiber_invariants.items()}
-        rep.add(
-            f"rees.{label}_matches",
-            specialized == fiber_table,
-            witness=None
-            if specialized == fiber_table
-            else f"family at t={t_value}: {sorted(str(kv) for kv in specialized.items())} "
-            f"fiber: {sorted(str(kv) for kv in fiber_table.items())}",
+        mismatch = (
+            f"family at t={t_value}: {sorted(str(kv) for kv in specialized.items())} "
+            f"fiber: {sorted(str(kv) for kv in fiber_table.items())}"
         )
+        rep.check(f"rees.{label}_matches", [] if specialized == fiber_table else [mismatch])
         rep.data[label] = {
             f"e{k}@{fiber_invariants.monomial(yexp)}": str(v)
             for (k, yexp), v in sorted(fiber_table.items())
@@ -408,12 +406,16 @@ def run_scenario(path: str, command: str, *, seed=0, trials=20, degree=3):
 
 
 def identity_suite(p: int, n: int, *, seed=0, trials=50, degree=3) -> Report:
-    """The full identity battery over the tangent algebroid on n coordinates."""
+    """The full identity battery over the tangent algebroid on n coordinates.
+    A ValueError from building the ring (p not prime) is a ScenarioError."""
     names = ("x", "y", "z")[:n] if n <= 3 else tuple(f"x{i + 1}" for i in range(n))
     rep = Report(f"identities-p{p}-n{n}", command="identities", seed=seed, trials=trials, degree=degree)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the p = 2 warning concerns descent only
-        ring = PolyRing(PrimeField(p), names)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the p = 2 warning concerns descent only
+            ring = PolyRing(PrimeField(p), names)
+    except ValueError as err:
+        raise ScenarioError(str(err)) from err
     A = tangent_algebroid(ring)
     rep.merge("algebroid", validate_algebroid(A, trials=max(trials // 5, 2), seed=seed, max_degree=degree))
     rep.merge("p_structure", validate_p_structure(A, trials=max(trials // 5, 2), seed=seed, max_degree=degree))
@@ -468,46 +470,36 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return EXIT_INPUT_ERROR if err.code else EXIT_OK
+    options = dict(seed=args.seed, trials=args.trials, degree=args.degree)
 
+    # each run: the name its errors are reported under, and the job making its report
     if args.command == "identities":
-        started = time.monotonic()
-        try:
-            report = identity_suite(args.p, args.n, seed=args.seed, trials=args.trials, degree=args.degree)
-        except (ValueError, ResourceLimitError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-        elapsed = time.monotonic() - started
-        if args.format == "json":
-            print(report.to_json())
-        else:
-            print(report.render_text(elapsed))
-        return EXIT_OK if report.passed else EXIT_MATH_FAILURE
-
-    if not args.scenarios:
+        runs = [(f"identities-p{args.p}-n{args.n}", lambda: identity_suite(args.p, args.n, **options))]
+    elif args.scenarios:
+        runs = [
+            (path, lambda path=path: run_scenario(path, args.command, **options)[0])
+            for path in sorted(args.scenarios)
+        ]
+    else:
         parser.print_usage(sys.stderr)
         print("error: at least one scenario file is required", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
     outputs = []
-    status = EXIT_OK
-    for path in sorted(args.scenarios):
+    for name, job in runs:
         started = time.monotonic()
         try:
-            report, code = run_scenario(
-                path, args.command, seed=args.seed, trials=args.trials, degree=args.degree
-            )
+            report = job()
         except ScenarioError as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_INPUT_ERROR
         except ResourceLimitError as err:
-            print(f"resource limit in {path}: {err}", file=sys.stderr)
+            print(f"resource limit in {name}: {err}", file=sys.stderr)
             return EXIT_INPUT_ERROR
         except ValueError as err:
-            print(f"mathematical failure in {path}: {err}", file=sys.stderr)
+            print(f"mathematical failure in {name}: {err}", file=sys.stderr)
             return EXIT_MATH_FAILURE
-        elapsed = time.monotonic() - started
-        outputs.append((report, elapsed))
-        status = max(status, code)
+        outputs.append((report, time.monotonic() - started))
 
     outputs.sort(key=lambda item: item[0].title)
     if args.format == "json":
@@ -516,7 +508,7 @@ def main(argv=None) -> int:
     else:
         for report, elapsed in outputs:
             print(report.render_text(elapsed))
-    return status
+    return EXIT_OK if all(report.passed for report, _ in outputs) else EXIT_MATH_FAILURE
 
 
 if __name__ == "__main__":

@@ -72,8 +72,6 @@ class OperatorElement:
     # -- additive structure --------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Poly):
-            other = from_poly(self.algebroid, other)
         if not isinstance(other, OperatorElement):
             return NotImplemented
         self._check(other)
@@ -87,14 +85,10 @@ class OperatorElement:
                 out[beta] = s
         return OperatorElement(self.algebroid, out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return OperatorElement(self.algebroid, {b: -f for b, f in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, Poly):
-            other = from_poly(self.algebroid, other)
         if not isinstance(other, OperatorElement):
             return NotImplemented
         return self + (-other)
@@ -111,8 +105,6 @@ class OperatorElement:
     # -- multiplication ------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            other = from_poly(self.algebroid, other)
         if not isinstance(other, OperatorElement):
             return NotImplemented
         self._check(other)
@@ -127,11 +119,6 @@ class OperatorElement:
             if len(out.terms) > TERM_LIMIT:
                 raise ResourceLimitError("normal form exceeds the configured size bound")
         return out
-
-    def __rmul__(self, other):
-        if isinstance(other, Poly):
-            return from_poly(self.algebroid, other) * self
-        return NotImplemented
 
     def __pow__(self, k: int) -> "OperatorElement":
         return left_power(self, k, one(self.algebroid))

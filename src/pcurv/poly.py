@@ -392,9 +392,6 @@ class Poly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
             other = self.ring.constant(other)
@@ -739,7 +736,7 @@ class _Parser:
     def parse_expr(self) -> Poly:
         sign = 1
         ch = self.peek()
-        if ch in "+-":
+        if ch in ("+", "-"):
             self.pos += 1
             sign = -1 if ch == "-" else 1
         value = self.parse_term()

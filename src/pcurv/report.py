@@ -3,9 +3,9 @@
 A report is a flat list of named checks.  Every failing check carries a
 witness string that reproduces the failure (the inputs echoed back), so a
 red report is actionable on its own.  :meth:`ValidationReport.check` is
-the one routine that turns a list of failure witnesses into a result, and
-:meth:`ValidationReport.run_cases` runs the seeded identities, each a named
-case function, through it.
+the only routine that records a check: it turns a list of failure
+witnesses into a result.  :meth:`ValidationReport.run_cases` runs the
+seeded identities, each a named case function, through it.
 """
 
 from __future__ import annotations
@@ -35,16 +35,12 @@ class ValidationReport:
     title: str
     checks: list = field(default_factory=list)
 
-    def add(self, name, passed, *, section="core", witness=None, **details):
-        self.checks.append(
-            CheckResult(name, bool(passed), section=section, witness=witness, details=details)
-        )
-
-    def check(self, name, failures, *, shown=None, **details):
+    def check(self, name, failures, *, section="core", shown=None, **details):
         """Record a check that passes iff ``failures`` (witness strings) is
         empty; the witness is the first ``shown`` of them (all when None)
         joined by "; "."""
-        self.add(name, not failures, witness="; ".join(failures[:shown]) or None, **details)
+        witness = "; ".join(failures[:shown]) or None
+        self.checks.append(CheckResult(name, not failures, section, witness, details))
 
     def run_cases(self, cases, trials: int):
         """Run each case ``trials`` times, in order, and record it under its

@@ -200,6 +200,22 @@ class TestRunScenario:
             with pytest.raises(ScenarioError, match="p > 2"):
                 run_scenario(write_scenario(tmp_path, doc), "descend")
 
+    @pytest.mark.parametrize("command", ["pcurvature", "hitchin", "descend"])
+    def test_flatness_failure_stops_before_the_p_curvature(self, command):
+        report, code = run_scenario(str(GOLDEN / "broken_axioms.json"), command)
+        assert code == EXIT_MATH_FAILURE
+        assert [(c.name, c.passed) for c in report.checks] == [("module.flatness", False)]
+
+    def test_p_curvature_of_order_one_fails_order_zero(self, tmp_path):
+        doc = minimal_doc(name="tangent-p-op-x")
+        doc["algebroid"]["p_op"] = [["x"]]
+        doc["module"]["matrices"] = [[["0"]]]
+        report, code = run_scenario(write_scenario(tmp_path, doc), "pcurvature")
+        assert code == EXIT_MATH_FAILURE
+        check = report.checks[-1]
+        assert (check.name, check.passed) == ("pcurvature.order_zero", False)
+        assert check.witness == "p-curvature of e1 has a differential part of order 1: (2*x)*d/dx"
+
 
 class TestGoldenReports:
     @pytest.mark.parametrize(
@@ -329,6 +345,35 @@ class TestMainEntry:
         assert main(["pcurvature", path]) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and path in err and "resource limit" in err
+
+    def test_non_central_p_curvature_element_is_a_mathematical_failure(self, tmp_path, capsys):
+        doc = minimal_doc(name="non-central")
+        doc["algebroid"] = {
+            "rank": 2,
+            "bracket": [[["0", "0"], ["0", "1"]], [["0", "2"], ["0", "0"]]],
+            "anchor": [["0"], ["0"]],
+            "p_op": [["0", "0"], ["0", "0"]],
+        }
+        doc["module"]["matrices"] = [[["2"]], [["0"]]]
+        path = write_scenario(tmp_path, doc)
+        assert main(["pcurvature", path]) == EXIT_MATH_FAILURE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"mathematical failure in {path}: p-curvature element of e1 is not central; ")
+
+    @pytest.mark.parametrize(
+        "p, line",
+        [
+            ("4", "error: 4 is not prime"),
+            ("1000003", "resource limit in identities-p1000003-n1: p = 1000003 exceeds the degree bound"),
+        ],
+        ids=["not_prime", "over_degree_bound"],
+    )
+    def test_identities_bad_prime_exits_2_with_one_line(self, capsys, p, line):
+        assert main(["identities", "--p", p]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(line)
 
     def test_prime_over_degree_bound_is_rejected_at_once(self, tmp_path):
         path = write_scenario(tmp_path, minimal_doc(p=1000000000000000009))

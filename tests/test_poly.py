@@ -313,6 +313,14 @@ class TestParse:
             parse_poly(src, ring(5))
         assert err.value.position == position
 
+    @pytest.mark.parametrize("src, position", [("", 0), ("   ", 3), ("+", 1), ("-", 1)])
+    def test_missing_factor_is_reported_where_input_ends(self, src, position):
+        """The end of input is no sign: an empty entry fails at its end, not
+        one past it."""
+        with pytest.raises(PolyParseError, match="expected a factor") as err:
+            parse_poly(src, ring(3))
+        assert err.value.position == position
+
     @pytest.mark.parametrize("src", ["x^2 + 1", "2*x*y + 4*y", "0", "x^6 + 2"])
     def test_str_round_trip(self, src):
         R = ring(5, ("x", "y"))
