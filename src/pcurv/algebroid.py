@@ -84,6 +84,9 @@ class AlgebroidPresentation:
                     raise ValueError("p-operation coefficient from a different ring")
         if any(c.ring != self.ring for f, vec in shift for c in (f, *vec)):
             raise ValueError("shift value from a different ring")
+        ri = self.ring.rees_index
+        if ri is not None and any(d.components[ri] for d in anchor):
+            raise ValueError("anchor acts on the deformation variable")
 
     @property
     def p(self) -> int:
@@ -208,43 +211,46 @@ class AlgebroidPresentation:
         multi-term elements are folded with Jacobson's correction terms
         sum_i s_i between the partial sum and the next term.
         """
-        p = self.p
-        terms = [(a, g) for a, g in enumerate(D) if not g.is_zero()]
-        if not terms:
-            return self.h_zero()
-        zero = self.ring.zero()
-        result = None
-        partial = None
-        for a, g in terms:
-            scaled_anchor = self.anchor[a].scale(g)
-            single = self.h_add(
-                self.h_scale(g**p, self.p_op[a]),
-                self.h_scale(scaled_anchor.apply_iter(g, p - 1), self.h_basis(a)),
-            )
-            term = self.h_scale(g, self.h_basis(a))
-            if result is None:
-                result, partial = single, term
+        p, zero = self.p, self.ring.zero()
+        result = partial = self.h_zero()
+        for a, g in enumerate(D):
+            if g.is_zero():
                 continue
-            result = self.h_add(result, single)
-            for _, s in self.lie_polynomials((zero, partial), (zero, term)):
-                result = self.h_add(result, s)
+            term = self.h_scale(g, self.h_basis(a))
+            correction = self.anchor[a].scale(g).apply_iter(g, p - 1)
+            result = self.h_add(result, self.h_scale(g**p, self.p_op[a]))
+            result = self.h_add(result, self.h_scale(correction, self.h_basis(a)))
+            if not self.h_is_zero(partial):
+                for _, s in self.lie_polynomials((zero, partial), (zero, term)):
+                    result = self.h_add(result, s)
             partial = self.h_add(partial, term)
         return result
 
     # -- transport --------------------------------------------------------
 
+    def map_polys(self, ring: PolyRing, fn) -> "AlgebroidPresentation":
+        """This presentation over ``ring``, with ``fn`` applied to every
+        polynomial of the bracket table, the p-operation table and the
+        shift.  Each anchor keeps its component at every variable the two
+        rings share and gets 0 at a new variable."""
+
+        def vec(v):
+            return tuple(fn(c) for c in v)
+
+        def lift(d):
+            comps = dict(zip(self.ring.variables, vec(d.components)))
+            return Derivation(ring, tuple(comps.get(v, ring.zero()) for v in ring.variables))
+
+        bracket = tuple(tuple(vec(v) for v in table) for table in self.bracket)
+        anchor = tuple(lift(d) for d in self.anchor)
+        p_op = tuple(vec(v) for v in self.p_op)
+        shift = tuple((fn(f), vec(v)) for f, v in self.shift)
+        return AlgebroidPresentation(ring, self.rank, bracket, anchor, p_op, shift)
+
     def map_to(self, big_ring: PolyRing) -> "AlgebroidPresentation":
-        """The same presentation over a ring with extra variables (which are
-        central: no anchor acts on them, so the shift values stay central)."""
-
-        def lift(vec):
-            return tuple(c.map_to(big_ring) for c in vec)
-
-        bracket = tuple(tuple(lift(vec) for vec in table) for table in self.bracket)
-        anchor = tuple(d.map_to(big_ring) for d in self.anchor)
-        p_op = tuple(lift(vec) for vec in self.p_op)
-        shift = tuple((f.map_to(big_ring), lift(vec)) for f, vec in self.shift)
-        return AlgebroidPresentation(big_ring, self.rank, bracket, anchor, p_op, shift)
+        """The same presentation over a ring with extra variables, which are
+        central: no anchor acts on them, so the shift values stay central."""
+        return self.map_polys(big_ring, lambda c: c.map_to(big_ring))
 
     def __str__(self):
         return (
@@ -428,26 +434,7 @@ def specialize_t(A: AlgebroidPresentation, value: int) -> AlgebroidPresentation:
     name = A.ring.rees_variable
     if name is None:
         raise ValueError("no deformation variable to specialize")
-    j = A.ring.variables.index(name)
-    small = A.ring.without(name)
-    bracket = tuple(
-        tuple(tuple(c.substitute_constant(name, value) for c in vec) for vec in table)
-        for table in A.bracket
-    )
-    anchors = []
-    for d in A.anchor:
-        if not d.components[j].is_zero():
-            raise ValueError("anchor acts on the deformation variable")
-        comps = tuple(
-            c.substitute_constant(name, value)
-            for k, c in enumerate(d.components)
-            if k != j
-        )
-        anchors.append(Derivation(small, comps))
-    p_op = tuple(
-        tuple(c.substitute_constant(name, value) for c in vec) for vec in A.p_op
-    )
-    return AlgebroidPresentation(small, A.rank, bracket, tuple(anchors), p_op)
+    return A.map_polys(A.ring.without(name), lambda c: c.substitute_constant(name, value))
 
 
 # -- p-structure shifts ------------------------------------------------------

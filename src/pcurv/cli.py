@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import warnings
@@ -454,12 +455,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trials", type=_bounded_int(1, MAX_TRIALS), default=20)
     parser.add_argument("--degree-panel", type=_bounded_int(0), default=3, dest="degree")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--p", type=int, default=3, help="prime for the identities command")
+    parser.add_argument("--p", type=int, help="prime for the identities command (default 3)")
     parser.add_argument(
         "--n",
         type=_bounded_int(1, MAX_IDENTITY_COORDINATES),
-        default=1,
-        help=f"coordinates for the identities command (at most {MAX_IDENTITY_COORDINATES})",
+        help=f"coordinates for the identities command (default 1, at most {MAX_IDENTITY_COORDINATES})",
     )
     return parser
 
@@ -471,10 +471,16 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return EXIT_INPUT_ERROR if err.code else EXIT_OK
     options = dict(seed=args.seed, trials=args.trials, degree=args.degree)
+    flags = [f"--{name}" for name in ("p", "n") if getattr(args, name) is not None]
+    stray = args.scenarios if args.command == "identities" else flags
+    if stray:
+        print(f"error: argument {stray[0]} does not apply to {args.command}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
     # each run: the name its errors are reported under, and the job making its report
     if args.command == "identities":
-        runs = [(f"identities-p{args.p}-n{args.n}", lambda: identity_suite(args.p, args.n, **options))]
+        p, n = (3 if args.p is None else args.p), (1 if args.n is None else args.n)
+        runs = [(f"identities-p{p}-n{n}", lambda: identity_suite(p, n, **options))]
     elif args.scenarios:
         runs = [
             (path, lambda path=path: run_scenario(path, args.command, **options)[0])
@@ -502,12 +508,17 @@ def main(argv=None) -> int:
         outputs.append((report, time.monotonic() - started))
 
     outputs.sort(key=lambda item: item[0].title)
-    if args.format == "json":
-        documents = [report.to_dict() for report, _ in outputs]
-        print(json.dumps(documents if len(documents) > 1 else documents[0], sort_keys=True, indent=2))
-    else:
-        for report, elapsed in outputs:
-            print(report.render_text(elapsed))
+    try:
+        if args.format == "json":
+            documents = [report.to_dict() for report, _ in outputs]
+            print(json.dumps(documents if len(documents) > 1 else documents[0], sort_keys=True, indent=2))
+        else:
+            for report, elapsed in outputs:
+                print(report.render_text(elapsed))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: send what is left, and the flush at exit, nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK if all(report.passed for report, _ in outputs) else EXIT_MATH_FAILURE
 
 

@@ -310,11 +310,8 @@ class ConnectionModule:
         of the anchor's j-th component at d_j."""
         weyl, r = self.weyl, self.rank
         coords = self.ring.coordinate_indices()
-        ri = self.ring.rees_index
         actions = []
         for derivation, matrix in zip(self.algebroid.anchor, self.matrices):
-            if ri is not None and not derivation.components[ri].is_zero():
-                raise ValueError("derivation acts on the deformation variable")
             coeffs = {(0,) * weyl.rank: matrix}
             for k, j in enumerate(coords):
                 unit = tuple(int(i == k) for i in range(weyl.rank))

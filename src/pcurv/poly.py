@@ -668,13 +668,6 @@ class Derivation:
             comps.append(self.apply_iter(self.ring.variable(j), p))
         return Derivation(self.ring, tuple(comps))
 
-    def map_to(self, ring: PolyRing) -> "Derivation":
-        """Lift to a larger ring; the new variables are not acted on."""
-        comps = {v: c.map_to(ring) for v, c in zip(self.ring.variables, self.components)}
-        return Derivation(
-            ring, tuple(comps.get(v, ring.zero()) for v in ring.variables)
-        )
-
     def __str__(self):
         parts = [
             f"({c})*d/d{v}"

@@ -2,7 +2,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcurv import operators as ops
@@ -33,6 +33,35 @@ def fold_anchor_of(A, D):
         if not g.is_zero():
             out = out + d.scale(g)
     return out
+
+
+def fold_p_operation(A, D):
+    """Test oracle for ``AlgebroidPresentation.p_operation``: the fold that
+    starts from the first nonzero term g*e_a, mapped to
+    g^p e_a^[p] + (g delta_a)^{p-1}(g) e_a, and adds each later term's image
+    with Jacobson's correction terms between the partial sum and that term."""
+    p = A.p
+    terms = [(a, g) for a, g in enumerate(D) if not g.is_zero()]
+    if not terms:
+        return A.h_zero()
+    zero = A.ring.zero()
+    result = None
+    partial = None
+    for a, g in terms:
+        scaled_anchor = A.anchor[a].scale(g)
+        single = A.h_add(
+            A.h_scale(g**p, A.p_op[a]),
+            A.h_scale(scaled_anchor.apply_iter(g, p - 1), A.h_basis(a)),
+        )
+        term = A.h_scale(g, A.h_basis(a))
+        if result is None:
+            result, partial = single, term
+            continue
+        result = A.h_add(result, single)
+        for _, s in A.lie_polynomials((zero, partial), (zero, term)):
+            result = A.h_add(result, s)
+        partial = A.h_add(partial, term)
+    return result
 
 
 def coordinate_action(delta, f):
@@ -67,6 +96,7 @@ ANCHOR_PRESENTATIONS = {
     "random-anchor-xy-p5": random_anchor_algebroid(5, ("x", "y"), 3, seed=11),
     "random-anchor-x-p7": random_anchor_algebroid(7, ("x",), 2, seed=12),
 }
+UNDEFORMED = sorted(name for name, A in ANCHOR_PRESENTATIONS.items() if A.ring.rees_variable is None)
 
 
 class TestTangent:
@@ -181,6 +211,22 @@ class TestPOperationExtension:
                 rhs = A.h_add(rhs, s)
             assert lhs == rhs
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(ANCHOR_PRESENTATIONS)),
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.lists(st.booleans(), min_size=3, max_size=3),
+    )
+    @example(name="random-anchor-xy-p5", seed=0, zeros=[True, True, True])
+    def test_matches_the_fold_from_the_first_term(self, name, seed, zeros):
+        A = ANCHOR_PRESENTATIONS[name]
+        rng = random.Random(seed)
+        D = tuple(
+            A.ring.zero() if zero else random_poly(rng, A.ring, 2)
+            for zero, _ in zip(zeros, range(A.rank))
+        )
+        assert A.p_operation(D) == fold_p_operation(A, D)
+
 
 class TestRees:
     def test_tables_scaled(self):
@@ -215,6 +261,44 @@ class TestRees:
         assert all(d.is_zero() for d in S0.anchor)
         assert all(c.is_zero() for v in S0.p_op for c in v)
         assert all(c.is_zero() for t in S0.bracket for v in t for c in v)
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(UNDEFORMED), value=st.integers(0, 6))
+    def test_fibers(self, name, value):
+        # the fiber at t = c scales bracket and anchor by c and the
+        # p-operation by c^(p-1): A itself at c = 1, all zero at c = 0
+        A = ANCHOR_PRESENTATIONS[name]
+        c = value % A.p
+        fiber = specialize_t(rees_algebroid(A), c)
+        assert fiber.ring == A.ring
+        assert fiber.bracket == tuple(tuple(A.h_scale(A.ring.constant(c), v) for v in t) for t in A.bracket)
+        assert fiber.anchor == tuple(d.scale(A.ring.constant(c)) for d in A.anchor)
+        assert fiber.p_op == tuple(A.h_scale(A.ring.constant(c ** (A.p - 1)), v) for v in A.p_op)
+        if c == 1:
+            assert fiber == A
+        if c == 0:
+            assert all(x.is_zero() for table in fiber.bracket for v in table for x in v)
+            assert all(d.is_zero() for d in fiber.anchor)
+            assert all(x.is_zero() for v in fiber.p_op for x in v)
+
+    @pytest.mark.parametrize("name", sorted(ANCHOR_PRESENTATIONS))
+    def test_map_to_adjoins_a_central_variable(self, name):
+        A = ANCHOR_PRESENTATIONS[name]
+        big_ring, (s,) = A.ring.adjoin("s")
+        big = A.map_to(big_ring)
+        j = big_ring.variables.index(s)
+        assert big.ring == big_ring and big.rank == A.rank
+        assert big.bracket == tuple(tuple(tuple(c.map_to(big_ring) for c in v) for v in t) for t in A.bracket)
+        assert big.p_op == tuple(tuple(c.map_to(big_ring) for c in v) for v in A.p_op)
+        for d_big, d in zip(big.anchor, A.anchor):
+            assert d_big.components[j].is_zero()
+            assert d_big.components[:j] == tuple(c.map_to(big_ring) for c in d.components)
+
+    def test_anchor_on_the_deformation_variable_rejected(self):
+        R = ring(3, ("x", "t"), rees="t")
+        zero_vec = (R.zero(),)
+        with pytest.raises(ValueError, match="anchor acts on the deformation variable"):
+            AlgebroidPresentation(R, 1, ((zero_vec,),), (Derivation.coordinate(R, 1),), (zero_vec,))
 
     def test_rees_requires_fresh_variable(self):
         A = tangent_algebroid(ring(3))

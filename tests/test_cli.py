@@ -395,6 +395,21 @@ class TestMainEntry:
         assert result.returncode == 0
         assert "x^2 + 2" in result.stdout
 
+    def test_reader_closing_the_pipe_early_leaves_no_traceback(self):
+        # four copies of the bundled reports (about 116 KB) overfill the pipe,
+        # so the report is still being written when the reader goes away
+        paths = [str(path) for path in sorted(SCENARIOS.glob("*.json"))] * 4
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pcurv", "validate", *paths, "--trials", "1", "--format", "json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(1) == b"["
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == EXIT_OK
+        assert "Traceback" not in stderr
+
 
 class TestParserBounds:
     """Entries the parser cannot take whole (nesting past ``NESTING_LIMIT``,
@@ -549,6 +564,23 @@ class TestArgumentBounds:
         )
         assert result.returncode == EXIT_INPUT_ERROR
         assert f"argument {flag}: must be" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args, stray",
+        [
+            (["identities", "no-such.json", "--trials", "1"], "no-such.json"),
+            (["descend", CRYSTALLINE, "--p", "4"], "--p"),
+            (["descend", CRYSTALLINE, "--n", "8"], "--n"),
+        ],
+        ids=["file", "p", "n"],
+    )
+    def test_argument_of_another_command_exits_2_naming_it(self, args, stray):
+        result = subprocess.run(
+            [sys.executable, "-m", "pcurv", *args], capture_output=True, text=True, timeout=15
+        )
+        assert result.returncode == EXIT_INPUT_ERROR
+        assert result.stderr == f"error: argument {stray} does not apply to {args[0]}\n"
         assert result.stdout == ""
 
     def test_boundary_values_accepted(self):
