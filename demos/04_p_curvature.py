@@ -23,7 +23,7 @@ x = R.variable("x")
 
 # The connection d + x^2 dx on the trivial line bundle:
 M = ConnectionModule(T, 1, (((x * x,),),))
-print("nabla           :", M.generator_action(0))
+print("nabla           :", M.actions[0])
 C = p_curvature(M)
 print("psi             :", mat_str(C.psi[0]))
 print("oracle agrees   :", check_abstract_action_oracle(C).passed)

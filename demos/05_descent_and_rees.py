@@ -39,11 +39,10 @@ for k, yexp, value in D.descended():
 # The counterexample's invariant does not descend, and the failure names
 # the offending monomial.
 H = higgs_algebroid(R, 1, [[x]])
-DC = descend_invariants(
-    hitchin_invariants(p_curvature(ConnectionModule(H, 1, (((x,),),)))), H
-)
+IC = hitchin_invariants(p_curvature(ConnectionModule(H, 1, (((x,),),))))
+DC = descend_invariants(IC, H)
 print()
-print("counterexample   :", DC.invariants)
+print("counterexample   :", IC)
 for k, yexp, failure in DC.witnesses():
     print(f"fails at e{k}     : {failure}")
 

@@ -135,12 +135,9 @@ class Report(ValidationReport):
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
-    def render_text(self, elapsed=None) -> str:
-        head = f"scenario {self.title} | {self.command}: "
-        head += "PASS" if self.passed else "FAIL"
-        if elapsed is not None:
-            head += f"  ({elapsed:.2f}s)"
-        lines = [head]
+    def render_text(self, elapsed: float) -> str:
+        verdict = "PASS" if self.passed else "FAIL"
+        lines = [f"scenario {self.title} | {self.command}: {verdict}  ({elapsed:.2f}s)"]
         for c in self.checks:
             mark = "pass" if c.passed else "FAIL"
             line = f"  {mark}  {c.name}"
@@ -273,18 +270,16 @@ def _require_odd_p(scenario: Scenario, command: str):
 # -- command pipelines ---------------------------------------------------------
 
 
-def _run_validate(scenario, rep, seed, trials, degree):
-    rep.merge("algebroid", validate_algebroid(scenario.algebroid, trials=trials, seed=seed, max_degree=degree))
-    rep.merge("p_structure", validate_p_structure(scenario.algebroid, trials=trials, seed=seed, max_degree=degree))
-    rep.merge(
-        "enveloping",
-        ops.check_enveloping_p_structure(scenario.algebroid, trials=trials, seed=seed, max_degree=degree),
-    )
+def _run_validate(scenario, rep):
+    options = dict(trials=rep.trials, seed=rep.seed, max_degree=rep.degree)
+    rep.merge("algebroid", validate_algebroid(scenario.algebroid, **options))
+    rep.merge("p_structure", validate_p_structure(scenario.algebroid, **options))
+    rep.merge("enveloping", ops.check_enveloping_p_structure(scenario.algebroid, **options))
     if scenario.module is not None:
         rep.merge("module", scenario.module.flatness)
 
 
-def _run_pcurvature(scenario, rep, seed, trials, degree):
+def _run_pcurvature(scenario, rep):
     module = _require_module(scenario)
     rep.merge("module", module.flatness)
     if not module.flatness.passed:
@@ -297,16 +292,16 @@ def _run_pcurvature(scenario, rep, seed, trials, degree):
     rep.check("pcurvature.order_zero", [])
     rep.data["psi"] = [mat_map(str, m) for m in C.psi]
     rep.merge("pcurvature", check_abstract_action_oracle(C))
-    panel = poly_panel(C.ring, max(trials // 4, 2), seed=seed, max_degree=min(degree, 2))
+    panel = poly_panel(C.ring, max(rep.trials // 4, 2), seed=rep.seed, max_degree=min(rep.degree, 2))
     rep.merge("pcurvature", check_p_linearity(C, panel))
     rep.merge("pcurvature", C.commutativity)
     rep.merge("pcurvature", check_flat_commutation(C))
     return C
 
 
-def _run_hitchin(scenario, rep, seed, trials, degree):
+def _run_hitchin(scenario, rep):
     _require_odd_p(scenario, "hitchin")
-    C = _run_pcurvature(scenario, rep, seed, trials, degree)
+    C = _run_pcurvature(scenario, rep)
     if C is None:
         return None, None
     invariants = hitchin_invariants(C)
@@ -317,15 +312,15 @@ def _run_hitchin(scenario, rep, seed, trials, degree):
     return C, invariants
 
 
-def _run_descend(scenario, rep, seed, trials, degree):
+def _run_descend(scenario, rep):
     _require_odd_p(scenario, "descend")
-    C, invariants = _run_hitchin(scenario, rep, seed, trials, degree)
+    C, invariants = _run_hitchin(scenario, rep)
     if invariants is None:
         return
     descent = descend_invariants(invariants, scenario.algebroid)
     table = {}
     for k, yexp, value in descent.entries:
-        key = f"e{k}@{invariants.monomial(yexp)}"
+        key = invariants.key(k, yexp)
         if isinstance(value, NotDescendable):
             table[key] = {"not_descendable": value.witness()}
         else:
@@ -339,27 +334,24 @@ def _run_descend(scenario, rep, seed, trials, degree):
             ["every coefficient descended"] if descent.all_descend else [],
         )
     else:
-        failures = [
-            f"e{k}@{invariants.monomial(yexp)}: {v.witness()}" for k, yexp, v in descent.witnesses()
-        ]
+        failures = [f"{invariants.key(k, yexp)}: {v.witness()}" for k, yexp, v in descent.witnesses()]
         rep.check("descent.all_coefficients_descend", failures)
         if descent.anchor_surjective:
             rep.check("descent.theorem_contract", failures)
 
 
-def _run_rees(scenario, rep, seed, trials, degree):
+def _run_rees(scenario, rep):
     _require_odd_p(scenario, "rees")
     if not scenario.rees:
         raise ScenarioError("the rees command needs a scenario with \"rees\": true")
     if scenario.algebroid.shift:
         raise ScenarioError("the rees command does not support shifted structures")
-    C, invariants = _run_hitchin(scenario, rep, seed, trials, degree)
+    C, invariants = _run_hitchin(scenario, rep)
     if invariants is None:
         return
     descent = descend_invariants(invariants, scenario.algebroid)
     rep.check("rees.family_descends", [v.witness() for _, _, v in descent.witnesses()])
-    family = {f"e{k}@{invariants.monomial(yexp)}": v for k, yexp, v in descent.descended()}
-    rep.data["descended_family"] = {key: str(v) for key, v in family.items()}
+    rep.data["descended_family"] = {invariants.key(k, yexp): str(v) for k, yexp, v in descent.descended()}
 
     t_name = scenario.algebroid.ring.rees_variable
     for t_value, label in ((1, "fiber_t1"), (0, "fiber_t0")):
@@ -381,8 +373,7 @@ def _run_rees(scenario, rep, seed, trials, degree):
         )
         rep.check(f"rees.{label}_matches", [] if specialized == fiber_table else [mismatch])
         rep.data[label] = {
-            f"e{k}@{fiber_invariants.monomial(yexp)}": str(v)
-            for (k, yexp), v in sorted(fiber_table.items())
+            fiber_invariants.key(k, yexp): str(v) for (k, yexp), v in sorted(fiber_table.items())
         }
 
 
@@ -402,7 +393,7 @@ def run_scenario(path: str, command: str, *, seed=0, trials=20, degree=3):
     if command not in PIPELINES:
         raise ScenarioError(f"unknown command {command!r}")
     rep = Report(scenario.name, command=command, seed=seed, trials=trials, degree=degree)
-    PIPELINES[command](scenario, rep, seed, trials, degree)
+    PIPELINES[command](scenario, rep)
     return rep, (EXIT_OK if rep.passed else EXIT_MATH_FAILURE)
 
 

@@ -319,10 +319,6 @@ class ConnectionModule:
             actions.append(MatrixDiffOp(weyl, r, coeffs))
         return tuple(actions)
 
-    def generator_action(self, a: int) -> MatrixDiffOp:
-        """nabla_{e_a} = delta_a + A_a as a matrix operator."""
-        return self.actions[a]
-
     @cached_property
     def flatness(self) -> ValidationReport:
         """:func:`validate_flatness` of this module, run once."""

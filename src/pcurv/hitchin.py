@@ -80,9 +80,10 @@ class HitchinInvariants:
     def render(self, k: int) -> str:
         return render_terms(self.duals, self.coefficients[k - 1])
 
-    def monomial(self, yexp) -> str:
-        """The dual-variable monomial with these exponents, "1" for none."""
-        return render_monomial(self.duals, yexp) or "1"
+    def key(self, k: int, yexp) -> str:
+        """The report key of the coefficient of e_k at the dual-variable
+        monomial with these exponents: ``e{k}@{monomial}``, "1" for none."""
+        return f"e{k}@{render_monomial(self.duals, yexp) or '1'}"
 
     def __str__(self):
         return "; ".join(f"e{k} = {self.render(k)}" for k in range(1, self.rank + 1))
@@ -187,7 +188,6 @@ def validate_trace_flatness(C: PCurvature, invariants: HitchinInvariants) -> Val
 class DescentReport:
     """Per-coefficient outcome of Frobenius descent of the invariants."""
 
-    invariants: HitchinInvariants
     entries: tuple  # ((k, yexp, Poly-or-NotDescendable), ...)
     anchor_surjective: bool
 
@@ -226,4 +226,4 @@ def descend_invariants(I: HitchinInvariants, A: AlgebroidPresentation) -> Descen
                 raise AssertionError("descended coefficient does not pull back")
         entries.append((k, yexp, root))
     surjective, _ = anchor_generic_surjectivity(A)
-    return DescentReport(I, tuple(entries), surjective)
+    return DescentReport(tuple(entries), surjective)

@@ -22,6 +22,7 @@ elements f + sum g_a e_a are the ones a p-structure acts on.
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 from .algebroid import AlgebroidPresentation
 from .panels import random_poly, random_vector
@@ -75,15 +76,7 @@ class OperatorElement:
         if not isinstance(other, OperatorElement):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for beta, f in other.terms.items():
-            s = out.get(beta)
-            s = f if s is None else s + f
-            if s.is_zero():
-                out.pop(beta, None)
-            else:
-                out[beta] = s
-        return OperatorElement(self.algebroid, out)
+        return _collect(self.algebroid, chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self):
         return OperatorElement(self.algebroid, {b: -f for b, f in self.terms.items()})
@@ -95,12 +88,7 @@ class OperatorElement:
 
     def scale(self, f: Poly) -> "OperatorElement":
         """Left multiplication by a function (acts on coefficients)."""
-        out = {}
-        for beta, g in self.terms.items():
-            fg = f * g
-            if not fg.is_zero():
-                out[beta] = fg
-        return OperatorElement(self.algebroid, out)
+        return _collect(self.algebroid, ((beta, f * g) for beta, g in self.terms.items()))
 
     # -- multiplication ------------------------------------------------------
 
@@ -109,16 +97,11 @@ class OperatorElement:
             return NotImplemented
         self._check(other)
         A = self.algebroid
-        out = zero(A)
-        for beta, f in self.terms.items():
-            acc = other
-            # e^beta * other, peeled from the innermost (largest) generator
-            for a in reversed(_expand_multi_index(beta)):
-                acc = _generator_times(A, a, acc)
-            out = out + acc.scale(f)
-            if len(out.terms) > TERM_LIMIT:
-                raise ResourceLimitError("normal form exceeds the configured size bound")
-        return out
+        return _collect(A, (
+            (gamma, f * g)
+            for beta, f in self.terms.items()
+            for gamma, g in _monomial_times(A, beta, other).terms.items()
+        ))
 
     def __pow__(self, k: int) -> "OperatorElement":
         return left_power(self, k, one(self.algebroid))
@@ -162,13 +145,9 @@ class OperatorElement:
         """True iff the element commutes with all ring variables and all
         generators (these generate the algebra)."""
         A = self.algebroid
-        for name in A.ring.variables:
-            if not self.commutator(from_poly(A, A.ring.variable(name))).is_zero():
-                return False
-        for a in range(A.rank):
-            if not self.commutator(generator(A, a)).is_zero():
-                return False
-        return True
+        probes = [from_poly(A, A.ring.variable(name)) for name in A.ring.variables]
+        probes += [generator(A, a) for a in range(A.rank)]
+        return all(self.commutator(e).is_zero() for e in probes)
 
     # -- rendering ---------------------------------------------------------------
 
@@ -195,22 +174,16 @@ def one(A: AlgebroidPresentation) -> OperatorElement:
 def from_poly(A: AlgebroidPresentation, f: Poly) -> OperatorElement:
     if f.ring != A.ring:
         raise ValueError("polynomial from a different ring")
-    if f.is_zero():
-        return zero(A)
-    return OperatorElement(A, {(0,) * A.rank: f})
+    return _collect(A, [((0,) * A.rank, f)])
 
 
 def generator(A: AlgebroidPresentation, a: int) -> OperatorElement:
-    beta = tuple(1 if k == a else 0 for k in range(A.rank))
-    return OperatorElement(A, {beta: A.ring.one()})
+    return from_h_element(A, A.h_basis(a))
 
 
 def from_h_element(A: AlgebroidPresentation, coeffs) -> OperatorElement:
-    out = {}
-    for a, g in enumerate(coeffs):
-        if not g.is_zero():
-            out[tuple(1 if k == a else 0 for k in range(A.rank))] = g
-    return OperatorElement(A, out)
+    units = (tuple(int(k == a) for k in range(A.rank)) for a in range(A.rank))
+    return _collect(A, zip(units, coeffs))
 
 
 def from_lambda1(A: AlgebroidPresentation, f: Poly, coeffs) -> OperatorElement:
@@ -220,24 +193,38 @@ def from_lambda1(A: AlgebroidPresentation, f: Poly, coeffs) -> OperatorElement:
 # -- rewriting core ---------------------------------------------------------------
 
 
-def _expand_multi_index(beta):
-    out = []
-    for a, k in enumerate(beta):
-        out.extend([a] * k)
-    return out
+def _collect(A: AlgebroidPresentation, pairs) -> OperatorElement:
+    """The sum of the (beta, coefficient) pairs: coefficients of equal
+    multi-indices added, zero sums dropped.  Every merge of terms in this
+    module goes through here."""
+    out = {}
+    get = out.get
+    for beta, f in pairs:
+        s = get(beta)
+        if s is not None:
+            f = s + f
+        elif len(out) >= TERM_LIMIT:
+            raise ResourceLimitError("normal form exceeds the configured size bound")
+        out[beta] = f
+    return OperatorElement(A, {beta: f for beta, f in out.items() if f})
 
 
-def _generator_times(A: AlgebroidPresentation, a: int, op: OperatorElement) -> OperatorElement:
-    """e_a * op in normal form."""
-    out = zero(A)
+def _monomial_times(A: AlgebroidPresentation, beta, op: OperatorElement) -> OperatorElement:
+    """e^beta * op in normal form, peeled from the innermost (largest) generator."""
+    for a in reversed(range(A.rank)):
+        for _ in range(beta[a]):
+            op = _collect(A, _generator_times(A, a, op))
+    return op
+
+
+def _generator_times(A: AlgebroidPresentation, a: int, op: OperatorElement):
+    """The terms of e_a * op, in normal form but not collected."""
     delta_a = A.anchor[a]
     for beta, f in op.terms.items():
         # e_a * f e^beta = f * (e_a e^beta) + delta_a(f) e^beta
-        out = out + _generator_times_monomial(A, a, beta).scale(f)
-        df = delta_a(f)
-        if not df.is_zero():
-            out = out + OperatorElement(A, {beta: df})
-    return out
+        for gamma, g in _generator_times_monomial(A, a, beta).terms.items():
+            yield gamma, f * g
+        yield beta, delta_a(f)
 
 
 def _generator_times_monomial(A: AlgebroidPresentation, a: int, beta) -> OperatorElement:
@@ -249,11 +236,11 @@ def _generator_times_monomial(A: AlgebroidPresentation, a: int, beta) -> Operato
     b = support[0]
     rest = tuple(k - 1 if c == b else k for c, k in enumerate(beta))
     # e_a e^beta = e_b (e_a e^rest) + [e_a, e_b] e^rest
-    result = _generator_times(A, b, _generator_times_monomial(A, a, rest))
+    terms = _generator_times(A, b, _generator_times_monomial(A, a, rest))
     bracket_ab = from_h_element(A, A.bracket[a][b])
     if not bracket_ab.is_zero():
-        result = result + bracket_ab * OperatorElement(A, {rest: A.ring.one()})
-    return result
+        terms = chain(terms, (bracket_ab * OperatorElement(A, {rest: A.ring.one()})).terms.items())
+    return _collect(A, terms)
 
 
 # -- p-structure on degree-at-most-1 elements ------------------------------------

@@ -62,7 +62,7 @@ class TestNablaOf:
     def test_generator_action(self):
         R = ring(3)
         M = scalar_module(tangent_algebroid(R), parse_poly("x^2", R))
-        op = M.generator_action(0)
+        op = M.actions[0]
         assert str(op) == "[e1 + x^2]"
 
     def test_left_multiplication(self):
@@ -75,7 +75,7 @@ class TestNablaOf:
     def test_operator_application(self):
         R = ring(3)
         M = scalar_module(tangent_algebroid(R), parse_poly("x^2", R))
-        op = M.generator_action(0)
+        op = M.actions[0]
         (value,) = op.apply((parse_poly("x^3 + x", R),))
         # derivative 3x^2 + 1 = 1, plus x^2*(x^3+x)
         assert value == parse_poly("x^5 + x^3 + 1", R)
@@ -379,7 +379,7 @@ class TestRepresentOperator:
         A = tangent_algebroid(R)
         M = scalar_module(A, parse_poly("x^2", R))
         d = ops.generator(A, 0)
-        assert represent_operator(M, d**3) == M.generator_action(0) ** 3
+        assert represent_operator(M, d**3) == M.actions[0] ** 3
 
 
 class TestMatrixDiffOp:

@@ -1,13 +1,15 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcurv import operators as ops
 from pcurv.algebroid import (
     AlgebroidPresentation,
     higgs_algebroid,
+    rees_algebroid,
     shift_p_structure,
     tangent_algebroid,
     validate_algebroid,
@@ -331,3 +333,111 @@ class TestNonAbelianPresentation:
         # gr of the enveloping algebra is the polynomial ring F_p[x][e1, e2],
         # a domain, so the symbol of a product never drops
         assert (a * b).top_symbol() == a.top_symbol() * b.top_symbol()
+
+
+# -- the term-by-term product, kept as the oracle for the collecting one ------------
+
+
+def _added(terms, more):
+    """terms + more on {beta: Poly} dicts, one term at a time, each zero sum
+    dropped as it appears."""
+    out = dict(terms)
+    for beta, f in more.items():
+        s = out.get(beta)
+        s = f if s is None else s + f
+        if s.is_zero():
+            out.pop(beta, None)
+        else:
+            out[beta] = s
+    return out
+
+
+def _scaled(f, terms):
+    return {beta: fg for beta, g in terms.items() if not (fg := f * g).is_zero()}
+
+
+def _generator_times(A, a, terms):
+    """e_a * terms: f (e_a e^beta) + delta_a(f) e^beta for each term."""
+    out = {}
+    for beta, f in terms.items():
+        out = _added(out, _scaled(f, _generator_times_monomial(A, a, beta)))
+        out = _added(out, {beta: A.anchor[a](f)})
+    return out
+
+
+def _generator_times_monomial(A, a, beta):
+    """e_a * e^beta, reordered by e_a e_b = e_b e_a + [e_a, e_b] for b < a."""
+    support = [c for c, k in enumerate(beta) if k]
+    if not support or a <= support[0]:
+        return {tuple(k + (c == a) for c, k in enumerate(beta)): A.ring.one()}
+    b = support[0]
+    rest = tuple(k - (c == b) for c, k in enumerate(beta))
+    out = _generator_times(A, b, _generator_times_monomial(A, a, rest))
+    bracket = {
+        tuple(int(k == c) for k in range(A.rank)): g
+        for c, g in enumerate(A.bracket[a][b])
+        if not g.is_zero()
+    }
+    return _added(out, _product(A, bracket, {rest: A.ring.one()}))
+
+
+def _product(A, x, y):
+    out = {}
+    for beta, f in x.items():
+        acc = y
+        for a in reversed([a for a, k in enumerate(beta) for _ in range(k)]):
+            acc = _generator_times(A, a, acc)
+        out = _added(out, _scaled(f, acc))
+    return out
+
+
+def added_pbw_product(x, y):
+    """x * y in normal form, with every partial sum built by adding one
+    term at a time to a fresh copy: the product as it was computed before
+    the operators module collected each sum in one pass."""
+    return ops.OperatorElement(x.algebroid, _product(x.algebroid, x.terms, y.terms))
+
+
+PBW_PRESENTATIONS = {
+    "tangent-x-p5": tangent_algebroid(ring(5)),
+    "tangent-xy-p3": tangent_algebroid(ring(3, ("x", "y"))),
+    "higgs-rank2-p3": higgs_algebroid(ring(3), 2, [[ring(3).variable("x"), ring(3).zero()]] * 2),
+    "rees-x-p3": rees_algebroid(tangent_algebroid(ring(3))),
+    "shifted-x-p3": shift_p_structure(tangent_algebroid(ring(3)), [parse_poly("x^3", ring(3))]),
+    "affine-x-p3": AFFINE[3],
+}
+
+
+@st.composite
+def pbw_cases(draw):
+    """A presentation, two elements of filtration degree <= 2 and a function,
+    with coefficients of degree <= 2 in each ring variable."""
+    A = PBW_PRESENTATIONS[draw(st.sampled_from(sorted(PBW_PRESENTATIONS)))]
+    coeff = st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * A.ring.nvars), st.integers(1, A.p - 1), min_size=1, max_size=3
+    )
+    betas = [beta for beta in itertools.product(range(3), repeat=A.rank) if sum(beta) <= 2]
+
+    def element():
+        support = draw(st.sets(st.sampled_from(betas), max_size=3))
+        return ops.OperatorElement(A, {beta: Poly(A.ring, draw(coeff)) for beta in support})
+
+    return A, element(), element(), Poly(A.ring, draw(coeff))
+
+
+T5, AFF3 = PBW_PRESENTATIONS["tangent-x-p5"], AFFINE[3]
+
+
+class TestAddedPbwProduct:
+    @settings(max_examples=60, deadline=None)
+    @given(pbw_cases())
+    # d x = x d + 1, through the anchor term; e2 e1 = e1 e2 - e1, through the bracket term
+    @example((T5, ops.generator(T5, 0), ops.from_poly(T5, T5.ring.variable("x")), T5.ring.one()))
+    @example((AFF3, ops.generator(AFF3, 1), ops.generator(AFF3, 0), AFF3.ring.one()))
+    def test_product_sum_and_scale_match_the_oracle(self, case):
+        A, a, b, f = case
+        assert a * b == added_pbw_product(a, b)
+        # a + (-a) cancels every term
+        for y in (b, -a):
+            assert a + y == ops.OperatorElement(A, _added(a.terms, y.terms))
+        assert a.scale(f) == ops.OperatorElement(A, _scaled(f, a.terms))

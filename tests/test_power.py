@@ -63,7 +63,7 @@ def poly_matrices(draw):
 def generator_actions(draw):
     """nabla_{e_1} of a random rank <= 2 connection on the line."""
     R, matrix = draw(poly_matrices().filter(lambda case: len(case[1]) <= 2))
-    return ConnectionModule(tangent_algebroid(R), len(matrix), (matrix,)).generator_action(0)
+    return ConnectionModule(tangent_algebroid(R), len(matrix), (matrix,)).actions[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,7 +138,7 @@ def test_negative_exponents_raise():
     x = R.variable("x")
     M = ConnectionModule(tangent_algebroid(R), 1, (((x,),),))
     d = ops.generator(M.algebroid, 0)
-    for element in (x, d, d.top_symbol(), M.generator_action(0)):
+    for element in (x, d, d.top_symbol(), M.actions[0]):
         with pytest.raises(ValueError, match="negative exponent"):
             element ** -1
     with pytest.raises(ValueError, match="negative exponent"):
