@@ -121,46 +121,44 @@ class AlgebroidPresentation:
         return Derivation(self.ring, comps)
 
     def h_bracket(self, D, E):
-        """Bracket of two coefficient vectors, extended by the Leibniz rule."""
-        out = list(self.h_zero())
-        delta_D = self.anchor_of(D)
-        delta_E = self.anchor_of(E)
-        for a, g in enumerate(D):
-            if g.is_zero():
-                continue
-            for b, h in enumerate(E):
-                if h.is_zero():
-                    continue
-                gh = g * h
-                for k, c in enumerate(self.bracket[a][b]):
-                    if not c.is_zero():
-                        out[k] = out[k] + gh * c
-        for b, h in enumerate(E):
-            if not h.is_zero():
-                out[b] = out[b] + delta_D(h)
-        for a, g in enumerate(D):
-            if not g.is_zero():
-                out[a] = out[a] - delta_E(g)
-        return tuple(out)
-
-    def h_ad_iter(self, D, E, k: int):
-        for _ in range(k):
-            E = self.h_bracket(D, E)
-        return E
+        """Bracket of two coefficient vectors: the H part of
+        :meth:`lambda1_bracket`."""
+        zero = self.ring.zero()
+        return self.lambda1_bracket((zero, D), (zero, E))[1]
 
     def lambda1_bracket(self, x, y):
         """Commutator of two degree-one elements f + D, g + E given as
         (function, H-vector) pairs:
 
-            [f + D, g + E] = (delta_D(g) - delta_E(f)) + [D, E].
-        """
+            [f + D, g + E] = (delta_D(g) - delta_E(f)) + [D, E],
+
+        with [D, E] the bracket table extended by the Leibniz rule.  The
+        anchors delta_D and delta_E are formed once, for both parts."""
         (f, D), (g, E) = x, y
+        delta_D, delta_E = self.anchor_of(D), self.anchor_of(E)
         function = self.ring.zero()
         if not g.is_zero():
-            function = self.anchor_of(D)(g)
+            function = delta_D(g)
         if not f.is_zero():
-            function = function - self.anchor_of(E)(f)
-        return function, self.h_bracket(D, E)
+            function = function - delta_E(f)
+        out = list(self.h_zero())
+        for a, u in enumerate(D):
+            if u.is_zero():
+                continue
+            for b, v in enumerate(E):
+                if v.is_zero():
+                    continue
+                uv = u * v
+                for k, c in enumerate(self.bracket[a][b]):
+                    if not c.is_zero():
+                        out[k] = out[k] + uv * c
+        for b, v in enumerate(E):
+            if not v.is_zero():
+                out[b] = out[b] + delta_D(v)
+        for a, u in enumerate(D):
+            if not u.is_zero():
+                out[a] = out[a] - delta_E(u)
+        return function, tuple(out)
 
     def lie_polynomials(self, x, y):
         """The universal Lie polynomials s_1, ..., s_{p-1} of Jacobson's
@@ -334,7 +332,9 @@ def validate_p_structure(A: AlgebroidPresentation, *, trials=10, seed=0, max_deg
     for a in range(m):
         for b in range(m):
             lhs = A.h_bracket(A.p_op[a], A.h_basis(b))
-            rhs = A.h_ad_iter(A.h_basis(a), A.h_basis(b), p)
+            ea, rhs = A.h_basis(a), A.h_basis(b)
+            for _ in range(p):
+                rhs = A.h_bracket(ea, rhs)
             if lhs != rhs:
                 bad.append(f"ad(e{a + 1}^[p])(e{b + 1})")
     rep.check("ad_axiom_on_basis", bad)

@@ -21,7 +21,9 @@ Exit status: 0 all checks passed (or an expected failure occurred),
 degree bound (including a prime p above it, a field of the wrong JSON type
 such as a "rees" that is not true or false or a boolean where an integer
 belongs, and a --trials outside 1..MAX_TRIALS, --degree-panel below 0 or
---n outside 1..MAX_IDENTITY_COORDINATES, all rejected before any work).
+--n outside 1..MAX_IDENTITY_COORDINATES, all rejected before any work, and
+a --degree-panel whose panel of C(d + n, n) monomials exceeds
+panels.PANEL_LIMIT, rejected before the panel is built).
 Any fault found while reading or building a scenario exits 2 with one line
 naming the file (or the field): an unreadable or non-UTF-8 file, malformed
 or too deeply nested JSON, an over-long integer, a table rejected by a

@@ -501,22 +501,24 @@ def check_higgs_commutativity(C: PCurvature) -> ValidationReport:
 
 def check_flat_commutation(C: PCurvature) -> ValidationReport:
     """Each psi_a commutes with the full module action: as operators,
-    [psi_a, nabla_{e_b}] = 0, which in matrix form reads
+    [psi_a, nabla_{e_b}] = 0.  The commutator is formed once; its d^0
+    coefficient is [psi_a, A_b] - delta_b . psi_a (the anchor applied
+    entrywise) and every d_j coefficient is 0, so the matrix form
 
         [psi_a, A_b] = delta_b . psi_a
 
-    with the anchor applied entrywise on the right-hand side."""
+    fails exactly when that d^0 coefficient is present."""
     rep = ValidationReport("commutation of the p-curvature with the module action")
     M, A = C.module, C.algebroid
+    d0 = (0,) * M.weyl.rank
     bad_op, bad_matrix = [], []
     for a in range(A.rank):
         psi_op = MatrixDiffOp.from_matrix(M.weyl, C.psi[a])
         for b in range(A.rank):
-            if not psi_op.commutator(M.actions[b]).is_zero():
+            commutator = psi_op.commutator(M.actions[b])
+            if not commutator.is_zero():
                 bad_op.append(f"[psi_{a + 1}, nabla_{b + 1}]")
-            lhs = mat_commutator(C.psi[a], M.matrices[b])
-            rhs = mat_map(A.anchor[b], C.psi[a])
-            if lhs != rhs:
+            if d0 in commutator.coeffs:
                 bad_matrix.append(f"(a={a + 1}, b={b + 1})")
     rep.check("commutes_with_module_action", bad_op, shown=2)
     rep.check("matrix_commutation_identity", bad_matrix, shown=2)

@@ -163,10 +163,6 @@ class OperatorElement:
 # -- constructors ---------------------------------------------------------------
 
 
-def zero(A: AlgebroidPresentation) -> OperatorElement:
-    return OperatorElement(A, {})
-
-
 def one(A: AlgebroidPresentation) -> OperatorElement:
     return from_poly(A, A.ring.one())
 

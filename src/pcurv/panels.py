@@ -10,15 +10,32 @@ are reproducible.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
-from .poly import Poly, PolyRing
+from .poly import Poly, PolyRing, ResourceLimitError
+
+# Most monomials a panel may have.  The identity battery over 8 coordinates
+# took 5 s at 495 monomials (degree 4), 12 s at 1,287 (degree 5) and 37 s at
+# 3,003 (degree 6); `validate` over one coordinate took 0.3 s at 1,891 and
+# did not finish in 90 s at 100,001 (2-core host, Python 3.11, --trials 1).
+PANEL_LIMIT = 2000
 
 
 def monomial_panel(ring: PolyRing, max_degree: int = 3) -> list[Poly]:
-    """All monomials of total degree at most ``max_degree`` (including 1)."""
-    out = []
+    """All monomials of total degree at most ``max_degree`` (including 1):
+    C(max_degree + n, n) of them in n variables, refused with
+    ResourceLimitError above ``PANEL_LIMIT`` before any is built."""
     n = ring.nvars
+    size = math.comb(max_degree + n, n)
+    if size > PANEL_LIMIT:
+        # str() refuses an int of more than 4300 digits
+        shown = size if size <= 10**30 else "more than 10^30"
+        raise ResourceLimitError(
+            f"monomial panel of degree {max_degree} in n = {n} variables: "
+            f"{shown} monomials, above the bound {PANEL_LIMIT}"
+        )
+    out = []
     for total in range(max_degree + 1):
         for cuts in itertools.combinations(range(total + n - 1), n - 1):
             exps = []

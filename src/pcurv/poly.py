@@ -50,13 +50,17 @@ The text grammar accepted by :func:`parse_poly` (and produced by ``str``):
     term   := factor ('*' factor)*
     factor := INT | VAR | VAR '^' UINT | '(' expr ')'
 
-A single leading sign is also accepted on input.
+A single leading sign is also accepted on input.  The input is read as
+tokens: a run of ASCII digits (INT), a run of word characters (``str.isalnum``
+or ``_``; a VAR starts with a letter or ``_``) or one other character, with
+whitespace only between tokens; so ``x^²`` fails at ``²`` and ``2x`` at ``x``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 import struct
 import warnings
 from collections.abc import Mapping
@@ -679,106 +683,79 @@ class Derivation:
 
 # -- parsing ---------------------------------------------------------------
 
+# The token rule of the module docstring: \w matches exactly where
+# str.isalnum() or '_' holds, and \s where str.isspace() does.
+_TOKEN = re.compile(r"[0-9]+|\w+|\S")
+
 
 class _Parser:
+    """Recursive descent over the tokens of ``src``, lexed lazily with one
+    token of lookahead: ``tok`` is the next token and ``pos`` its position;
+    at the end of input ``tok`` is "" and ``pos`` is len(src)."""
+
     def __init__(self, src: str, ring: PolyRing):
-        self.src = src
         self.ring = ring
-        self.pos = 0
         self.depth = 0
+        self.end = len(src)
+        self.tokens = _TOKEN.finditer(src)
+        self.tok = ""
+        self.advance()
+
+    def advance(self) -> str:
+        """Move past the next token and return its text."""
+        tok = self.tok
+        match = next(self.tokens, None)
+        self.pos, self.tok = (match.start(), match.group()) if match else (self.end, "")
+        return tok
 
     def error(self, message):
         raise PolyParseError(message, self.pos)
 
-    def skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.src[self.pos] if self.pos < len(self.src) else ""
-
     def take_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
         # ASCII only: str.isdigit takes '²' (int() rejects it) and '٣' (read as 3)
-        while self.pos < len(self.src) and "0" <= self.src[self.pos] <= "9":
-            self.pos += 1
-        if self.pos == start:
+        if not "0" <= self.tok[:1] <= "9":
             self.error("expected an integer")
-        if self.pos - start > LITERAL_DIGITS:
-            self.pos = start
+        if len(self.tok) > LITERAL_DIGITS:
             self.error(f"integer literal longer than {LITERAL_DIGITS} digits")
-        return int(self.src[start : self.pos])
-
-    def take_name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.src) and (
-            self.src[self.pos].isalpha() or self.src[self.pos] == "_"
-        ):
-            self.pos += 1
-            while self.pos < len(self.src) and (
-                self.src[self.pos].isalnum() or self.src[self.pos] == "_"
-            ):
-                self.pos += 1
-        if self.pos == start:
-            self.error("expected a name")
-        return self.src[start : self.pos]
+        return int(self.advance())
 
     def parse_expr(self) -> Poly:
-        sign = 1
-        ch = self.peek()
-        if ch in ("+", "-"):
-            self.pos += 1
-            sign = -1 if ch == "-" else 1
-        value = self.parse_term()
-        if sign < 0:
-            value = -value
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                value = value + self.parse_term()
-            elif ch == "-":
-                self.pos += 1
-                value = value - self.parse_term()
-            else:
-                return value
+        # a leading sign applies to the first term: -x is 0 - x
+        value = self.ring.zero() if self.tok in ("+", "-") else self.parse_term()
+        while self.tok in ("+", "-"):
+            op = operator.add if self.advance() == "+" else operator.sub
+            value = op(value, self.parse_term())
+        return value
 
     def parse_term(self) -> Poly:
         value = self.parse_factor()
-        while self.peek() == "*":
-            self.pos += 1
+        while self.tok == "*":
+            self.advance()
             value = value * self.parse_factor()
         return value
 
     def parse_factor(self) -> Poly:
-        ch = self.peek()
-        if ch == "(":
+        if self.tok == "(":
             if self.depth == NESTING_LIMIT:
                 self.error(f"parentheses nested deeper than {NESTING_LIMIT}")
-            self.pos += 1
+            self.advance()
             self.depth += 1
             value = self.parse_expr()
-            if self.peek() != ")":
+            if self.tok != ")":
                 self.error("expected ')'")
-            self.pos += 1
+            self.advance()
             self.depth -= 1
             return value
-        if "0" <= ch <= "9":
+        if "0" <= self.tok[:1] <= "9":
             return self.ring.constant(self.take_int())
-        if ch.isalpha() or ch == "_":
-            at = self.pos
-            name = self.take_name()
-            if name not in self.ring.variables:
-                self.pos = at
-                self.error(f"unknown variable {name!r}")
-            value = self.ring.variable(name)
-            if self.peek() == "^":
-                self.pos += 1
-                return value ** self.take_int()
-            return value
+        if self.tok[:1].isalpha() or self.tok[:1] == "_":
+            if self.tok not in self.ring.variables:
+                self.error(f"unknown variable {self.tok!r}")
+            value = self.ring.variable(self.advance())
+            if self.tok != "^":
+                return value
+            self.advance()
+            return value ** self.take_int()
         self.error("expected a factor")
 
 
@@ -786,8 +763,7 @@ def parse_poly(src: str, ring: PolyRing) -> Poly:
     """Parse a polynomial expression; coefficients are reduced mod p."""
     parser = _Parser(src, ring)
     value = parser.parse_expr()
-    parser.skip_ws()
-    if parser.pos != len(src):
+    if parser.tok:
         parser.error("trailing input")
     return value
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_operators import AFFINE
 
 from pcurv import operators as ops
 from pcurv.algebroid import (
@@ -64,6 +65,29 @@ def fold_p_operation(A, D):
     return result
 
 
+def two_step_bracket(A, x, y):
+    """Test oracle for ``AlgebroidPresentation.lambda1_bracket``: the
+    function part delta_D(g) - delta_E(f) first, then [D, E] from the
+    bracket table and the Leibniz terms, with both anchors formed again."""
+    (f, D), (g, E) = x, y
+    function = A.ring.zero()
+    if not g.is_zero():
+        function = A.anchor_of(D)(g)
+    if not f.is_zero():
+        function = function - A.anchor_of(E)(f)
+    out = list(A.h_zero())
+    delta_D, delta_E = A.anchor_of(D), A.anchor_of(E)
+    for a, u in enumerate(D):
+        for b, v in enumerate(E):
+            for k, c in enumerate(A.bracket[a][b]):
+                out[k] = out[k] + u * v * c
+    for b, v in enumerate(E):
+        out[b] = out[b] + delta_D(v)
+    for a, u in enumerate(D):
+        out[a] = out[a] - delta_E(u)
+    return function, tuple(out)
+
+
 def coordinate_action(delta, f):
     """Test oracle for ``Derivation.__call__``: sum_j c_j * d f/dx_j, every
     term formed and added from 0."""
@@ -97,6 +121,8 @@ ANCHOR_PRESENTATIONS = {
     "random-anchor-x-p7": random_anchor_algebroid(7, ("x",), 2, seed=12),
 }
 UNDEFORMED = sorted(name for name, A in ANCHOR_PRESENTATIONS.items() if A.ring.rees_variable is None)
+# with the non-abelian [e1, e2] = e1 of d/dx and x d/dx
+BRACKET_PRESENTATIONS = {**ANCHOR_PRESENTATIONS, **{f"affine-x-p{p}": A for p, A in AFFINE.items()}}
 
 
 class TestTangent:
@@ -442,3 +468,27 @@ class TestAnchorAction:
         assert delta(f) == coordinate_action(delta, f)
         for d in A.anchor:
             assert d(f) == coordinate_action(d, f)
+
+
+class TestLambda1Bracket:
+    """``lambda1_bracket`` forms delta_D and delta_E once for its function
+    and H parts; it must equal the two-step bracket."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(BRACKET_PRESENTATIONS)),
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.lists(st.booleans(), min_size=8, max_size=8),
+    )
+    def test_matches_the_two_step_bracket(self, name, seed, zeros):
+        A = BRACKET_PRESENTATIONS[name]
+        rng = random.Random(seed)
+        draws = iter(zeros)
+
+        def maybe_zero():
+            return A.ring.zero() if next(draws) else random_poly(rng, A.ring, 3)
+
+        x = (maybe_zero(), tuple(maybe_zero() for _ in range(A.rank)))
+        y = (maybe_zero(), tuple(maybe_zero() for _ in range(A.rank)))
+        assert A.lambda1_bracket(x, y) == two_step_bracket(A, x, y)
+        assert A.h_bracket(x[1], y[1]) == two_step_bracket(A, x, y)[1]

@@ -27,7 +27,7 @@ from pcurv.cli import (
     main,
     run_scenario,
 )
-from pcurv.panels import poly_panel
+from pcurv.panels import PANEL_LIMIT, poly_panel
 from pcurv.poly import Poly, ResourceLimitError
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -583,6 +583,27 @@ class TestArgumentBounds:
         assert result.stderr == f"error: argument {stray} does not apply to {args[0]}\n"
         assert result.stdout == ""
 
+    @pytest.mark.parametrize(
+        "args, panel",
+        [
+            (
+                ["validate", str(SCENARIOS / "higgs_rank2.json"), "--degree-panel", "100000"],
+                "degree 100000 in n = 1 variables: 100001 monomials",
+            ),
+            (["identities", "--n", "8", "--degree-panel", "6"], "degree 6 in n = 8 variables: 3003 monomials"),
+        ],
+        ids=["validate", "identities"],
+    )
+    def test_oversized_degree_panel_exits_2_with_one_line(self, args, panel):
+        """Both ran past 30 s before the panel had a bound."""
+        result = subprocess.run(
+            [sys.executable, "-m", "pcurv", *args, "--trials", "1"], capture_output=True, text=True, timeout=30
+        )
+        assert result.returncode == EXIT_INPUT_ERROR
+        assert result.stderr.count("\n") == 1
+        assert f"{panel}, above the bound {PANEL_LIMIT}" in result.stderr
+        assert result.stdout == ""
+
     def test_boundary_values_accepted(self):
         args = _build_parser().parse_args(
             ["identities", "--trials", "1", "--degree-panel", "0", "--n", str(MAX_IDENTITY_COORDINATES)]
@@ -860,6 +881,9 @@ class TestHiggsCommutationCost:
         assert counts["operator_mul"] == 0
         assert len(per_commutator) == scenario.algebroid.rank**2 == 9
         assert all(n <= 2 for n in per_commutator)
+        # both checks read the one commutator per pair: forming [psi_a, A_b]
+        # again for the matrix identity made 36 products
+        assert counts["mat_mul"] == 18
 
 
 class TestAnchorOfCost:
@@ -890,3 +914,28 @@ class TestAnchorOfCost:
         assert code == EXIT_OK
         assert len(per_call) > 100
         assert set(per_call) == {1}
+
+    def test_each_bracket_forms_two_anchors(self, monkeypatch):
+        """``lambda1_bracket`` (and ``h_bracket`` through it) forms delta_D
+        and delta_E once each, for the function and the H part together."""
+        anchors = Counter()
+        per_call = []
+        anchor_of = algebroid.AlgebroidPresentation.anchor_of
+        bracket = algebroid.AlgebroidPresentation.lambda1_bracket
+
+        def counted_anchor_of(self, D):
+            anchors["anchor_of"] += 1
+            return anchor_of(self, D)
+
+        def counted_bracket(self, x, y):
+            before = anchors["anchor_of"]
+            out = bracket(self, x, y)
+            per_call.append(anchors["anchor_of"] - before)
+            return out
+
+        monkeypatch.setattr(algebroid.AlgebroidPresentation, "anchor_of", counted_anchor_of)
+        monkeypatch.setattr(algebroid.AlgebroidPresentation, "lambda1_bracket", counted_bracket)
+        report, code = run_scenario(str(SCENARIOS / "crystalline_2d.json"), "validate")
+        assert code == EXIT_OK
+        assert len(per_call) > 800
+        assert set(per_call) == {2}

@@ -148,7 +148,7 @@ class TestLiePolynomials:
     def test_zero_second_argument(self):
         A = weyl(5)
         d = ops.generator(A, 0)
-        assert all(s.is_zero() for s in ops.lie_polynomials(d, ops.zero(A)))
+        assert all(s.is_zero() for s in ops.lie_polynomials(d, ops.OperatorElement(A, {})))
 
     @pytest.mark.filterwarnings("ignore:p = 2")
     def test_jacobson_formula(self):

@@ -57,6 +57,134 @@ def printable_polys(draw):
     return Poly(R, draw(st.dictionaries(exponents, st.integers(1, p - 1), max_size=8)))
 
 
+class _CharParser:
+    """The character-position parser the token parser replaced, kept as the
+    oracle ``char_parser``: it walks ``src`` one character at a time."""
+
+    def __init__(self, src, ring):
+        self.src = src
+        self.ring = ring
+        self.pos = 0
+        self.depth = 0
+
+    def error(self, message):
+        raise PolyParseError(message, self.pos)
+
+    def skip_ws(self):
+        while self.pos < len(self.src) and self.src[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.src[self.pos] if self.pos < len(self.src) else ""
+
+    def take_int(self):
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.src) and "0" <= self.src[self.pos] <= "9":
+            self.pos += 1
+        if self.pos == start:
+            self.error("expected an integer")
+        if self.pos - start > LITERAL_DIGITS:
+            self.pos = start
+            self.error(f"integer literal longer than {LITERAL_DIGITS} digits")
+        return int(self.src[start : self.pos])
+
+    def take_name(self):
+        self.skip_ws()
+        start = self.pos
+        if self.pos < len(self.src) and (self.src[self.pos].isalpha() or self.src[self.pos] == "_"):
+            self.pos += 1
+            while self.pos < len(self.src) and (
+                self.src[self.pos].isalnum() or self.src[self.pos] == "_"
+            ):
+                self.pos += 1
+        if self.pos == start:
+            self.error("expected a name")
+        return self.src[start : self.pos]
+
+    def parse_expr(self):
+        sign = 1
+        ch = self.peek()
+        if ch in ("+", "-"):
+            self.pos += 1
+            sign = -1 if ch == "-" else 1
+        value = self.parse_term()
+        if sign < 0:
+            value = -value
+        while True:
+            ch = self.peek()
+            if ch == "+":
+                self.pos += 1
+                value = value + self.parse_term()
+            elif ch == "-":
+                self.pos += 1
+                value = value - self.parse_term()
+            else:
+                return value
+
+    def parse_term(self):
+        value = self.parse_factor()
+        while self.peek() == "*":
+            self.pos += 1
+            value = value * self.parse_factor()
+        return value
+
+    def parse_factor(self):
+        ch = self.peek()
+        if ch == "(":
+            if self.depth == NESTING_LIMIT:
+                self.error(f"parentheses nested deeper than {NESTING_LIMIT}")
+            self.pos += 1
+            self.depth += 1
+            value = self.parse_expr()
+            if self.peek() != ")":
+                self.error("expected ')'")
+            self.pos += 1
+            self.depth -= 1
+            return value
+        if "0" <= ch <= "9":
+            return self.ring.constant(self.take_int())
+        if ch.isalpha() or ch == "_":
+            at = self.pos
+            name = self.take_name()
+            if name not in self.ring.variables:
+                self.pos = at
+                self.error(f"unknown variable {name!r}")
+            value = self.ring.variable(name)
+            if self.peek() == "^":
+                self.pos += 1
+                return value ** self.take_int()
+            return value
+        self.error("expected a factor")
+
+
+def char_parser(src, ring):
+    """Test oracle for ``parse_poly``: the same grammar, read character by
+    character with explicit whitespace skipping."""
+    parser = _CharParser(src, ring)
+    value = parser.parse_expr()
+    parser.skip_ws()
+    if parser.pos != len(src):
+        parser.error("trailing input")
+    return value
+
+
+def parse_outcome(parse, src, R):
+    """The value, or the message and position of the error, of one parse."""
+    try:
+        return parse(src, R)
+    except PolyParseError as err:
+        return str(err), err.position
+    except ResourceLimitError as err:
+        return str(err)
+
+
+# single characters and whole tokens: digits of other scripts, a letter
+# outside ASCII, whitespace other than a space, names known and unknown
+PARSE_PIECES = list("0123456789xyz_+-*^() \t\n²٣３é½") + ["x", "y", "_z", "12", "x2", "(x + 1)"]
+
+
 @st.composite
 def square_matrices(draw):
     """A random n x n polynomial matrix, n in 1..4, over F_p[x] or
@@ -331,6 +459,27 @@ class TestParse:
     @given(printable_polys())
     def test_str_round_trip_random(self, f):
         assert parse_poly(str(f), f.ring) == f
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(PARSE_PIECES), max_size=24).map("".join))
+    def test_matches_the_character_parser(self, src):
+        """The token parser returns the oracle's value, or raises its error
+        with the same message at the same position."""
+        R = ring(5, ("x", "y", "_z"))
+        assert parse_outcome(parse_poly, src, R) == parse_outcome(char_parser, src, R)
+
+    def test_tokens_are_read_lazily(self):
+        """A long entry is lexed one token at a time: no token list is held."""
+        src = "x" + " + x*y" * 30_000
+        R = ring(5, ("x", "y"))
+        tracemalloc.start()
+        try:
+            value = parse_poly(src, R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == R.variable("x")
+        assert peak < 1_000_000
 
 
 class TestRingAxioms:
