@@ -478,8 +478,6 @@ def anchor_generic_surjectivity(A: AlgebroidPresentation):
     """
     coords = A.ring.coordinate_indices()
     n = len(coords)
-    if A.rank < n:
-        return False, None
     matrix = [[A.anchor[a].components[j] for a in range(A.rank)] for j in coords]
     for cols in itertools.combinations(range(A.rank), n):
         minor = det([[matrix[i][c] for c in cols] for i in range(n)])

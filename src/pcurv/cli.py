@@ -43,7 +43,6 @@ import json
 import os
 import sys
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 
 from . import operators as ops
@@ -100,8 +99,6 @@ class ScenarioError(Exception):
 @dataclass
 class Scenario:
     name: str
-    p: int
-    rees: bool
     expect: str | None
     algebroid: AlgebroidPresentation     # after the optional Rees and shift steps
     module: ConnectionModule | None
@@ -252,7 +249,7 @@ def _build(doc: dict) -> Scenario:
         matrices = _require_array(mod, "module.matrices", algebroid.ring, (rank, r, r))
         module = ConnectionModule(algebroid, r, matrices)
 
-    return Scenario(name=name, p=p, rees=rees, expect=expect, algebroid=algebroid, module=module)
+    return Scenario(name=name, expect=expect, algebroid=algebroid, module=module)
 
 
 # -- helpers ------------------------------------------------------------------
@@ -262,11 +259,6 @@ def _require_module(scenario: Scenario):
     if scenario.module is None:
         raise ScenarioError(f"scenario {scenario.name} has no module block")
     return scenario.module
-
-
-def _require_odd_p(scenario: Scenario, command: str):
-    if scenario.p == 2:
-        raise ScenarioError(f"command {command} requires p > 2")
 
 
 # -- command pipelines ---------------------------------------------------------
@@ -302,7 +294,6 @@ def _run_pcurvature(scenario, rep):
 
 
 def _run_hitchin(scenario, rep):
-    _require_odd_p(scenario, "hitchin")
     C = _run_pcurvature(scenario, rep)
     if C is None:
         return None, None
@@ -315,7 +306,6 @@ def _run_hitchin(scenario, rep):
 
 
 def _run_descend(scenario, rep):
-    _require_odd_p(scenario, "descend")
     C, invariants = _run_hitchin(scenario, rep)
     if invariants is None:
         return
@@ -343,8 +333,7 @@ def _run_descend(scenario, rep):
 
 
 def _run_rees(scenario, rep):
-    _require_odd_p(scenario, "rees")
-    if not scenario.rees:
+    if scenario.algebroid.ring.rees_variable is None:
         raise ScenarioError("the rees command needs a scenario with \"rees\": true")
     if scenario.algebroid.shift:
         raise ScenarioError("the rees command does not support shifted structures")
@@ -394,6 +383,8 @@ def run_scenario(path: str, command: str, *, seed=0, trials=20, degree=3):
     scenario = load_scenario(path)
     if command not in PIPELINES:
         raise ScenarioError(f"unknown command {command!r}")
+    if command in ("hitchin", "descend", "rees") and scenario.algebroid.p == 2:
+        raise ScenarioError(f"command {command} requires p > 2")
     rep = Report(scenario.name, command=command, seed=seed, trials=trials, degree=degree)
     PIPELINES[command](scenario, rep)
     return rep, (EXIT_OK if rep.passed else EXIT_MATH_FAILURE)
@@ -405,9 +396,7 @@ def identity_suite(p: int, n: int, *, seed=0, trials=50, degree=3) -> Report:
     names = ("x", "y", "z")[:n] if n <= 3 else tuple(f"x{i + 1}" for i in range(n))
     rep = Report(f"identities-p{p}-n{n}", command="identities", seed=seed, trials=trials, degree=degree)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the p = 2 warning concerns descent only
-            ring = PolyRing(PrimeField(p), names)
+        ring = PolyRing(PrimeField(p), names)
     except ValueError as err:
         raise ScenarioError(str(err)) from err
     A = tangent_algebroid(ring)

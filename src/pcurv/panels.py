@@ -35,17 +35,12 @@ def monomial_panel(ring: PolyRing, max_degree: int = 3) -> list[Poly]:
             f"monomial panel of degree {max_degree} in n = {n} variables: "
             f"{shown} monomials, above the bound {PANEL_LIMIT}"
         )
-    out = []
-    for total in range(max_degree + 1):
-        for cuts in itertools.combinations(range(total + n - 1), n - 1):
-            exps = []
-            prev = -1
-            for c in cuts:
-                exps.append(c - prev - 1)
-                prev = c
-            exps.append(total + n - 2 - prev)
-            out.append(ring.monomial(tuple(exps)))
-    return out
+    # each degree's variable multisets, reversed: the last variable's powers come first
+    return [
+        ring.monomial(tuple(picks.count(i) for i in range(n)))
+        for total in range(max_degree + 1)
+        for picks in reversed(list(itertools.combinations_with_replacement(range(n), total)))
+    ]
 
 
 def random_poly(rng: random.Random, ring: PolyRing, max_degree: int = 3, max_terms: int = 3) -> Poly:

@@ -62,7 +62,6 @@ import math
 import operator
 import re
 import struct
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -170,10 +169,11 @@ def join_terms(names, items) -> str:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The prime field F_p.  Descent theorems require p > 2; p = 2 is
-    accepted for plain algebra but flagged with a warning.  A prime above
-    ``DEGREE_LIMIT`` raises :class:`ResourceLimitError`: no p-th power
-    could be formed over it."""
+    """The prime field F_p.  p = 2 is accepted like any other prime; the
+    descent entry points refuse it (``hitchin.validate_trace_flatness`` and
+    ``hitchin.descend_invariants``, the ``hitchin``, ``descend`` and ``rees``
+    commands).  A prime above ``DEGREE_LIMIT`` raises
+    :class:`ResourceLimitError`: no p-th power could be formed over it."""
 
     p: int
 
@@ -184,12 +184,6 @@ class PrimeField:
             )
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        if self.p == 2:
-            warnings.warn(
-                "p = 2: algebra operations are available but the descent "
-                "theorems require an odd prime",
-                stacklevel=3,
-            )
 
     def inv(self, a: int) -> int:
         a %= self.p

@@ -420,7 +420,7 @@ class TestAnchorSurjectivity:
     def test_rank_below_dimension_false(self):
         R = ring(3, ("x", "y"))
         A = higgs_algebroid(R, 1, [[R.one()]])
-        assert anchor_generic_surjectivity(A)[0] is False
+        assert anchor_generic_surjectivity(A) == (False, None)
 
 
 class TestRoundTrip:

@@ -62,7 +62,7 @@ class TestLoading:
     def test_bundled_scenarios_load(self):
         for path in sorted(SCENARIOS.glob("*.json")):
             scenario = load_scenario(str(path))
-            assert scenario.p == 3
+            assert scenario.algebroid.p == 3
 
     def test_missing_field(self, tmp_path):
         doc = minimal_doc()
@@ -195,10 +195,8 @@ class TestRunScenario:
     def test_descend_requires_odd_p(self, tmp_path):
         doc = minimal_doc(p=2)
         doc["module"]["matrices"] = [[["x"]]]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(ScenarioError, match="p > 2"):
-                run_scenario(write_scenario(tmp_path, doc), "descend")
+        with pytest.raises(ScenarioError, match="p > 2"):
+            run_scenario(write_scenario(tmp_path, doc), "descend")
 
     @pytest.mark.parametrize("command", ["pcurvature", "hitchin", "descend"])
     def test_flatness_failure_stops_before_the_p_curvature(self, command):
@@ -285,6 +283,17 @@ class TestGoldenReports:
         assert capsys.readouterr().out == expected
         assert code == (EXIT_OK if json.loads(expected)["passed"] else EXIT_MATH_FAILURE)
 
+    @pytest.mark.parametrize(
+        "golden", sorted(GOLDEN.glob("sl2_action_p*.*.json")), ids=lambda path: path.stem
+    )
+    def test_nonabelian_report_matches_golden(self, golden):
+        """The sl2 action algebroid on the line: its bracket is nonzero, so
+        the enveloping algebra's normal form reorders generators."""
+        stem, command = golden.stem.split(".")
+        report, code = run_scenario(str(GOLDEN / f"{stem}.json"), command)
+        assert report.to_json() + "\n" == golden.read_text(encoding="utf-8")
+        assert code == EXIT_OK
+
     def test_structured_output_is_deterministic(self):
         a, _ = run_scenario(str(SCENARIOS / "crystalline_1d.json"), "descend", seed=7)
         b, _ = run_scenario(str(SCENARIOS / "crystalline_1d.json"), "descend", seed=7)
@@ -305,6 +314,17 @@ class TestIdentitySuite:
 
 
 class TestMainEntry:
+    def test_p2_is_refused_only_by_the_descent_commands(self, capsys):
+        path = str(GOLDEN / "line_p2.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for command in ("validate", "pcurvature"):
+                assert main([command, path]) == EXIT_OK
+                assert capsys.readouterr().err == ""
+            for command in ("hitchin", "descend", "rees"):
+                assert main([command, path]) == EXIT_INPUT_ERROR
+                assert capsys.readouterr().err == f"error: command {command} requires p > 2\n"
+
     def test_no_scenarios_is_usage_error(self, capsys):
         assert main(["descend"]) == EXIT_INPUT_ERROR
 
@@ -534,11 +554,9 @@ class TestLoaderFuzz:
     def test_mutated_scenario_exits_with_a_status(self, tmp_path_factory, command, doc):
         path = tmp_path_factory.getbasetemp() / f"mutated-{command}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the p = 2 warning
-            assert main([command, str(path), "--trials", "1"]) in (
-                EXIT_OK, EXIT_MATH_FAILURE, EXIT_INPUT_ERROR,
-            )
+        assert main([command, str(path), "--trials", "1"]) in (
+            EXIT_OK, EXIT_MATH_FAILURE, EXIT_INPUT_ERROR,
+        )
 
 
 class TestArgumentBounds:

@@ -246,18 +246,14 @@ class TestDescendInvariants:
         assert fiber_value == parse_poly("x^2", base)
 
     def test_p2_rejected(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            R = ring(2)
-            A = tangent_algebroid(R)
-            M = ConnectionModule(A, 1, (((R.variable("x"),),),))
-            C = p_curvature(M)
-            with pytest.raises(ValueError, match="p > 2"):
-                validate_trace_flatness(C, hitchin_invariants(C))
-            with pytest.raises(ValueError, match="p > 2"):
-                descend_invariants(hitchin_invariants(C), A)
+        R = ring(2)
+        A = tangent_algebroid(R)
+        M = ConnectionModule(A, 1, (((R.variable("x"),),),))
+        C = p_curvature(M)
+        with pytest.raises(ValueError, match="p > 2"):
+            validate_trace_flatness(C, hitchin_invariants(C))
+        with pytest.raises(ValueError, match="p > 2"):
+            descend_invariants(hitchin_invariants(C), A)
 
 
 class TestTheoremAcrossPanels:

@@ -150,7 +150,6 @@ class TestLiePolynomials:
         d = ops.generator(A, 0)
         assert all(s.is_zero() for s in ops.lie_polynomials(d, ops.OperatorElement(A, {})))
 
-    @pytest.mark.filterwarnings("ignore:p = 2")
     def test_jacobson_formula(self):
         rng = random.Random(24)
         for A in (weyl(3, ("x", "y")), weyl(5), weyl(2, ("x", "y"))):

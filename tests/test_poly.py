@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+import warnings
 from functools import reduce
 from operator import add, mul
 
@@ -994,8 +995,9 @@ class TestField:
         with pytest.raises(ValueError):
             PrimeField(6)
 
-    def test_p2_warns(self):
-        with pytest.warns(UserWarning):
+    def test_p2_builds_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             PrimeField(2)
 
     def test_inverse(self):
