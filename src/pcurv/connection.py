@@ -50,6 +50,14 @@ p act faithfully.  Reducing modulo that kernel
 endomorphism an operator induces.  :func:`check_abstract_action_oracle`
 represents the central element e_a^p - e_a^[p] that way and compares.
 
+Over a one-variable ring at rank above 1 the oracle's words run packed as
+well (:func:`~pcurv.poly.operator_word`): each W_gamma stays one int per
+entry while a word is built, and the word is unpacked once.  That kernel
+is not the Katz one: it multiplies operators of every order, keyed by
+d^gamma, where the recurrence only follows the unit sections.  The two
+share only the digit helpers, so a fault in the packed recurrence cannot
+reappear in the check that compares against it.
+
 The validators check that the psi_a agree with that oracle, are p-linear
 in the generator direction, pairwise commuting, and commute with the
 module action.
@@ -65,7 +73,15 @@ from operator import add, mul, neg
 
 from . import operators as ops
 from .algebroid import AlgebroidPresentation, tangent_algebroid
-from .poly import Poly, PolyRing, katz_recurrence, kronecker_mat_mul, left_power, power
+from .poly import (
+    Poly,
+    PolyRing,
+    katz_recurrence,
+    kronecker_mat_mul,
+    left_power,
+    operator_word,
+    power,
+)
 from .report import ValidationReport
 
 # -- exact matrix helpers -----------------------------------------------------
@@ -97,12 +113,14 @@ def mat_scale(f: Poly, a):
 
 def _packs(ring: PolyRing, rank: int) -> bool:
     """Whether rank x rank matrix arithmetic over ``ring`` runs on packed
-    ints (:func:`~pcurv.poly.kronecker_mat_mul` for ``mat_mul``,
-    :func:`~pcurv.poly.katz_recurrence` for the p-curvature): over one
-    variable at rank above 1.  At rank 1 a matrix product is one
-    polynomial product, which packing only slows; a packed recurrence at
-    rank 1 gave 1.497 s per ``bundled`` benchmark pass, against 1.455 s
-    on ``Poly`` (2-core host, Python 3.11).  Over several variables an
+    ints, on all three routes: :func:`~pcurv.poly.kronecker_mat_mul` for
+    ``mat_mul``, :func:`~pcurv.poly.katz_recurrence` for the p-curvature
+    and :func:`~pcurv.poly.operator_word` for the oracle's words in
+    :func:`represent_operator`: over one variable at rank above 1.  At
+    rank 1 a matrix product is one polynomial product, which packing only
+    slows; a packed recurrence at rank 1 gave 1.497 s per ``bundled``
+    benchmark pass, against 1.455 s on ``Poly`` (2-core host, Python
+    3.11).  Over several variables an
     entry packs into one int per monomial in the other variables, and
     only the characteristic polynomial is measured to gain from that."""
     return rank > 1 and ring.nvars == 1
@@ -339,15 +357,38 @@ def represent_operator(M: ConnectionModule, op: ops.OperatorElement) -> MatrixDi
     therefore costs O(k^2) matrix products, O(p^2) for the e_a^p of the
     p-curvature oracle.  Square-and-multiply would multiply two
     order-k/2 operators, (k/2)^2 pairs of monomials with up to k/2 + 1
-    Leibniz terms each: O(p^3)."""
+    Leibniz terms each: O(p^3).
+
+    Where :func:`_packs` holds, a word is built by
+    :func:`~pcurv.poly.operator_word`: the W_gamma stay packed between
+    steps, each new entry is one int sum reduced mod p once, and the word
+    is unpacked once, where each ``MatrixDiffOp`` product packed A_a and
+    every W_gamma again, unpacked the result and summed it entry by entry.
+    The product ``MatrixDiffOp.__mul__`` builds the words on every other
+    ring and rank, and is the named test oracle of the packed ones."""
     weyl = M.weyl
+    packs = _packs(M.ring, M.rank)
     out = MatrixDiffOp(weyl, M.rank, {})
     for beta, f in op.terms.items():
-        word = MatrixDiffOp.identity(weyl, M.rank)
-        for a in reversed(range(len(beta))):
-            word = left_power(M.actions[a], beta[a], word)
+        if packs:
+            word = _packed_word(M, beta)
+        else:
+            word = MatrixDiffOp.identity(weyl, M.rank)
+            for a in reversed(range(len(beta))):
+                word = left_power(M.actions[a], beta[a], word)
         out = out + word.scale(f)
     return out
+
+
+def _packed_word(M: ConnectionModule, beta) -> MatrixDiffOp:
+    """The word e^beta of :func:`represent_operator` by
+    :func:`~pcurv.poly.operator_word`, each action nabla_{e_a} the pair
+    (A_a, g_a) with g_a the anchor's one component.  A ring whose one
+    variable is the deformation variable has no coordinate derivation
+    (weyl.rank 0): its anchor is 0, and the word is W_0 alone, keyed ()."""
+    factors = [(m, d.components[0]) for m, d in zip(M.matrices, M.algebroid.anchor)]
+    coeffs = {(gamma,) * M.weyl.rank: w for gamma, w in enumerate(operator_word(factors, beta))}
+    return MatrixDiffOp(M.weyl, M.rank, coeffs)
 
 
 def validate_flatness(M: ConnectionModule) -> ValidationReport:

@@ -19,7 +19,7 @@ so that
 No field ever carries into the next: every way in, from exponent tuples
 (:class:`Poly`, :meth:`PolyRing.monomial`, :meth:`Poly.map_to`) and from
 the degree-raising operations (``*``, ``**``, :meth:`Poly.frobenius`,
-:func:`kronecker_mat_mul`, :func:`katz_recurrence`,
+:func:`kronecker_mat_mul`, :func:`katz_recurrence`, :func:`operator_word`,
 :func:`charpoly_coefficients`), checks the total degree against
 ``DEGREE_LIMIT`` first and raises :class:`ResourceLimitError` above it;
 every exponent is then at most the total degree, which fits in
@@ -58,6 +58,7 @@ whitespace only between tokens; so ``x^²`` fails at ``²`` and ``2x`` at ``x``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -78,8 +79,10 @@ LITERAL_DIGITS = 1000
 # The packed terms of the polynomial 1: the unit monomial packs to key 0.
 _UNIT = {0: 1}
 # struct codes of little-endian unsigned ints: digits of these byte widths
-# (every benchmark workload packs at 1 or 2) convert in C, not one by one.
+# (every benchmark workload packs at 1 or 2) convert in C, not one by one,
+# and so do those of the _PADDED widths, padded to the next struct width.
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_PADDED = {3: 4, 5: 8, 6: 8, 7: 8}
 
 
 class ResourceLimitError(RuntimeError):
@@ -779,6 +782,8 @@ def _digits(n: int, nbytes: int, p: int) -> list:
     """The base-2^(8 nbytes) digits of the int n >= 0, lowest first, each
     reduced mod p."""
     data = n.to_bytes(-(-n.bit_length() // (8 * nbytes)) * nbytes, "little")
+    if nbytes in _PADDED:
+        data, nbytes = _regroup(data, nbytes, _PADDED[nbytes]), _PADDED[nbytes]
     if nbytes in _FORMATS:
         return [d % p for d in struct.unpack(f"<{len(data) // nbytes}{_FORMATS[nbytes]}", data)]
     return [int.from_bytes(data[i : i + nbytes], "little") % p for i in range(0, len(data), nbytes)]
@@ -786,9 +791,22 @@ def _digits(n: int, nbytes: int, p: int) -> list:
 
 def _from_digits(digits: list, nbytes: int) -> int:
     """The int with these base-2^(8 nbytes) digits, lowest first."""
+    if nbytes in _PADDED:
+        size = _PADDED[nbytes]
+        data = struct.pack(f"<{len(digits)}{_FORMATS[size]}", *digits)
+        return int.from_bytes(_regroup(data, size, nbytes), "little")
     if nbytes in _FORMATS:
         return int.from_bytes(struct.pack(f"<{len(digits)}{_FORMATS[nbytes]}", *digits), "little")
     return int.from_bytes(b"".join([d.to_bytes(nbytes, "little") for d in digits]), "little")
+
+
+def _regroup(data, width: int, size: int) -> bytearray:
+    """The little-endian digits of ``data``, ``width`` bytes each, laid out
+    ``size`` bytes each: zero-padded, or cut to their low bytes."""
+    out = bytearray(len(data) // width * size)
+    for i in range(min(width, size)):
+        out[i::size] = data[i::width]
+    return out
 
 
 def _unpack_first(ring: PolyRing, packed: dict, nbytes: int) -> Poly:
@@ -903,6 +921,98 @@ def katz_recurrence(b, g: Poly, steps: int):
         digits = [[_digits(n, nbytes, p) for n in row] for row in sums]
         x = [[_from_digits(d, nbytes) for d in row] for row in digits]
     return tuple(tuple(_unpack_first(ring, {0: n}, nbytes) for n in row) for row in x)
+
+
+def operator_word(factors, exponents) -> list:
+    """The coefficient matrices W_0, W_1, ... of d^0, d^1, ... of the word
+    L_1^(k_1) ... L_m^(k_m) of the first-order operators L_a = b_a + g_a d
+    on vectors over a one-variable ring, d = d/dx acting entrywise; each
+    factor is a pair (b_a, g_a) of a square matrix of polynomials and a
+    polynomial, and k_a = ``exponents[a]``.
+
+    The word is built from the identity by left-multiplying by one factor
+    at a time, the last factor first, with every W_gamma packed as in
+    :func:`kronecker_mat_mul`.  Each factor's b and g are packed once (B,
+    G), before its first step.  L = b + g d maps W_gamma d^gamma to
+    (B . W_gamma + G W_gamma') d^gamma + G W_gamma d^(gamma + 1), so each
+    new entry sum_k B_ik W_gamma,kj + G (W_gamma,ij' + W_gamma-1,ij) is
+    one int.  The digits of all of a step's entries are reduced mod p
+    once, as one int with one slot of equal length per entry, so a step
+    costs a few conversions however many entries it has.  W_gamma,ij'
+    comes from the digits that reduction produced: digit e becomes
+    e c_e mod p, one place lower.  Only the finished word is unpacked.
+
+    One width serves the whole word.  A digit of B_ik W_kj sums at most
+    d_b + 1 products of two coefficients in 0..p-1, and one of G W' or of
+    G W_gamma-1 at most d_g + 1, so no digit exceeds
+    (r (d_b + 1) + 2 (d_g + 1)) (p - 1)^2, with r the rank and d_b, d_g
+    the largest degrees in the b_a and of the g_a (-1 when zero) over the
+    factors the word uses.  The width is the least whole number of bytes
+    above that.
+
+    Before each step, with d_X the largest degree among the W_gamma read
+    off the packed ints, d_b + d_X above ``DEGREE_LIMIT``, or d_g + d_X
+    for a nonzero g, raises :class:`ResourceLimitError`, before that
+    step's factor is packed: the products ``Poly.__mul__`` and
+    :func:`kronecker_mat_mul` would refuse."""
+    ring = factors[0][1].ring
+    if ring.nvars != 1:
+        raise ValueError("Kronecker substitution needs a one-variable ring")
+    p, r = ring.p, len(factors[0][0])
+    degrees = [
+        (max(x.total_degree() for row in b for x in row), g.total_degree())
+        for b, g in factors
+    ]
+    used = [degrees[a] for a, k in enumerate(exponents) if k]
+    d_b = max((d for d, _ in used), default=-1)
+    d_g = max((d for _, d in used), default=-1)
+    nbytes = (((r * (d_b + 1) + 2 * (d_g + 1)) * (p - 1) ** 2).bit_length() + 7) // 8 or 1
+    w = 8 * nbytes
+    cells, rr = range(r), r * r
+    # W_gamma,ij is word[gamma r^2 + i r + j]; digits holds the reduced
+    # digits of every entry in slots of ``size`` digits, one per entry.
+    word = [int(i == j) for i in cells for j in cells]
+    digits, size = word, 1
+    for a in reversed(range(len(exponents))):
+        (b, g), bound = factors[a], max(degrees[a])
+        for step in range(exponents[a]):
+            d_x = (max(n.bit_length() for n in word) - 1) // w
+            if bound + d_x > DEGREE_LIMIT:
+                raise ResourceLimitError("product degree exceeds the configured bound")
+            if not step:
+                rows = [[_pack_first(x, w).get(0, 0) for x in row] for row in b]
+                packed_g = _pack_first(g, w).get(0, 0)
+            sums = []
+            for k in range(0, len(word), rr):
+                columns = [word[k + j : k + rr : r] for j in cells]
+                sums += [sum(map(operator.mul, row, c)) for row in rows for c in columns]
+            if packed_g:
+                # G (W_gamma' + W_gamma-1) at every gamma up to the new top.
+                ramp = itertools.cycle(range(size))
+                derivative = _slots([e * c % p for e, c in zip(ramp, digits)], size, nbytes, 1)
+                sums = [
+                    n + packed_g * (d + v)
+                    for n, d, v in zip(sums + [0] * rr, derivative + [0] * rr, [0] * rr + word)
+                ]
+            # One reduction for the step: every sum in a slot of ``size`` digits.
+            size = max(n.bit_length() for n in sums) // w + 1
+            data = b"".join([n.to_bytes(size * nbytes, "little") for n in sums])
+            digits = _digits(int.from_bytes(data, "little"), nbytes, p)
+            digits += [0] * (size * len(sums) - len(digits))
+            word = _slots(digits, size, nbytes)
+    entries = [_unpack_first(ring, {0: n}, nbytes) for n in word]
+    return [
+        tuple(tuple(entries[k + i : k + i + r]) for i in range(0, rr, r))
+        for k in range(0, len(entries), rr)
+    ]
+
+
+def _slots(digits: list, size: int, nbytes: int, start: int = 0) -> list:
+    """One int per slot of ``size`` digits of ``digits``, read from the
+    slot's digit ``start`` on: start 1 drops each slot's lowest digit."""
+    data = _from_digits(digits, nbytes).to_bytes(len(digits) * nbytes, "little")
+    step, skip = size * nbytes, start * nbytes
+    return [int.from_bytes(data[k + skip : k + step], "little") for k in range(0, len(data), step)]
 
 
 def charpoly_coefficients(matrix) -> list:

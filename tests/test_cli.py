@@ -294,6 +294,15 @@ class TestGoldenReports:
         assert report.to_json() + "\n" == golden.read_text(encoding="utf-8")
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("command", ["pcurvature", "hitchin", "descend"])
+    def test_large_prime_report_matches_golden(self, command):
+        """A rank-3 connection on the line over F_31: the oracle's words
+        e1^31 run packed, at digit widths of two bytes."""
+        golden = GOLDEN / f"line_rank3_p31.{command}.json"
+        report, code = run_scenario(str(GOLDEN / "line_rank3_p31.json"), command)
+        assert report.to_json() + "\n" == golden.read_text(encoding="utf-8")
+        assert code == EXIT_OK
+
     def test_structured_output_is_deterministic(self):
         a, _ = run_scenario(str(SCENARIOS / "crystalline_1d.json"), "descend", seed=7)
         b, _ = run_scenario(str(SCENARIOS / "crystalline_1d.json"), "descend", seed=7)

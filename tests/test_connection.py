@@ -8,8 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcurv import connection, poly
 from pcurv import operators as ops
-from pcurv.algebroid import higgs_algebroid, rees_algebroid, shift_p_structure, tangent_algebroid
+from pcurv.algebroid import (
+    AlgebroidPresentation,
+    higgs_algebroid,
+    rees_algebroid,
+    shift_p_structure,
+    tangent_algebroid,
+)
 from pcurv.connection import (
     ConnectionModule,
     MatrixDiffOp,
@@ -39,6 +46,7 @@ from pcurv.poly import (
     PrimeField,
     ResourceLimitError,
     katz_recurrence,
+    left_power,
     parse_poly,
 )
 
@@ -606,3 +614,171 @@ class TestPackedKatzRecurrence:
         for recurrence in (katz_recurrence, poly_katz_recurrence):
             with pytest.raises(ResourceLimitError, match="product degree exceeds"):
                 recurrence(b, g, 3)
+
+
+# -- oracle words on packed coefficient matrices against left_power ------------
+
+
+def left_power_word(M, beta):
+    """The named oracle of ``poly.operator_word``: the word e^beta as the
+    ``MatrixDiffOp`` product of the generator actions, left-multiplied one
+    action at a time from the last generator to the first."""
+    word = MatrixDiffOp.identity(M.weyl, M.rank)
+    for a in reversed(range(len(beta))):
+        word = left_power(M.actions[a], beta[a], word)
+    return word
+
+
+def line_module(anchors, matrices):
+    """The module with these connection matrices over the presentation on
+    the anchor coefficients' ring F_p[x] with delta_a = g_a d/dx, zero
+    bracket and zero p-operation; the words do not read either table."""
+    R = anchors[0].ring
+    m = len(anchors)
+    zero_vec = tuple(R.zero() for _ in range(m))
+    A = AlgebroidPresentation(
+        R,
+        m,
+        tuple(tuple(zero_vec for _ in range(m)) for _ in range(m)),
+        tuple(Derivation(R, (g,)) for g in anchors),
+        tuple(zero_vec for _ in range(m)),
+    )
+    return ConnectionModule(A, len(matrices[0]), matrices)
+
+
+@st.composite
+def word_cases(draw):
+    """A module of rank 2-4 over F_p[x], p in {3, 5, 13, 101} (digit widths
+    of 1, 2 and 3 bytes), over 1-3 generators whose anchor coefficients are
+    zero, a nonzero constant or non-constant (as e2 = x d/dx of the affine
+    algebroid), with entries of degree 0-2, possibly zero; and the
+    exponents of a word over all of its generators, sometimes with a p-th
+    power in it."""
+    p = draw(st.sampled_from([3, 5, 13, 101]))
+    R = ring(p)
+    r, m = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    coefficients = st.lists(st.integers(0, p - 1), min_size=1, max_size=3)
+    nonzero = st.integers(1, p - 1)
+
+    def anchor():
+        kind = draw(st.sampled_from(["zero", "constant", "non-constant"]))
+        if kind == "zero":
+            return R.zero()
+        if kind == "constant":
+            return R.constant(draw(nonzero))
+        return line_poly(R, [*draw(st.lists(st.integers(0, p - 1), max_size=2)), draw(nonzero)])
+
+    anchors = [anchor() for _ in range(m)]
+    matrices = [
+        tuple(tuple(line_poly(R, draw(coefficients)) for _ in range(r)) for _ in range(r))
+        for _ in range(m)
+    ]
+    beta = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+    if p <= 13 and draw(st.booleans()):
+        beta[draw(st.integers(0, m - 1))] = p + draw(st.integers(0, 1))
+    return line_module(anchors, matrices), tuple(beta)
+
+
+class TestPackedOracleWords:
+    @settings(max_examples=120, deadline=None)
+    @given(word_cases())
+    def test_matches_left_power(self, case):
+        M, beta = case
+        assert connection._packs(M.ring, M.rank)
+        element = ops.OperatorElement(M.algebroid, {beta: M.ring.one()})
+        assert represent_operator(M, element) == left_power_word(M, beta)
+
+    @pytest.mark.parametrize(
+        "p, r, d_b, d_g, nbytes, nbytes_2",
+        # (r (d_b + 1) + 2 (d_g + 1)) (p - 1)^2 = 48, 1728, 80,000 and
+        # 180,000; without the anchor's 2 (d_g + 1) the third fits 2 bytes,
+        # as it does in the words that use only e2, whose d_g is 0.
+        [(3, 2, 2, 2, 1, 1), (13, 2, 2, 2, 2, 2), (101, 2, 0, 2, 3, 2), (101, 4, 2, 2, 3, 3)],
+    )
+    def test_widths_of_dense_worst_case_words(
+        self, monkeypatch, p, r, d_b, d_g, nbytes, nbytes_2
+    ):
+        """Every coefficient p - 1, in the entries of A_1 and A_2 and in the
+        anchor coefficients g_1 of degree d_g and g_2 = p - 1: the width is
+        the least whole number of bytes above the bound over the generators
+        the word uses, and three bytes take the path without ``struct``."""
+        R = ring(p)
+        entry = line_poly(R, [p - 1] * (d_b + 1))
+        dense = tuple(tuple(entry for _ in range(r)) for _ in range(r))
+        M = line_module([line_poly(R, [p - 1] * (d_g + 1)), R.constant(p - 1)], [dense, dense])
+        widths = set()
+        from_digits = poly._from_digits
+
+        def recorded(digits, width):
+            widths.add(width)
+            return from_digits(digits, width)
+
+        monkeypatch.setattr(poly, "_from_digits", recorded)
+        for beta in ((3, 0), (0, 4), (2, 3), (1, 1)):
+            widths.clear()
+            assert connection._packed_word(M, beta) == left_power_word(M, beta)
+            assert widths == {nbytes if beta[0] else nbytes_2}
+
+    @pytest.mark.parametrize("part", ["matrix", "anchor"])
+    def test_degree_past_the_bound_is_refused_before_the_step_packs(self, monkeypatch, part):
+        """The word e1 e2 starts with nabla_2, A_2 = x^600000 I, so the
+        next step, nabla_1 with A_1 = x^500000 I (or with A_1 = I and
+        g_1 = x^500000), would need a product of degree 1,100,000.  The
+        refusal comes before A_1 and g_1 are packed and before any digit
+        of that step is reduced, as the ``MatrixDiffOp`` product refuses."""
+        R = ring(5)
+        big = R.monomial((500_000,))
+        M = line_module(
+            [big if part == "anchor" else R.zero(), R.zero()],
+            [
+                mat_scale(R.one() if part == "anchor" else big, identity_matrix(R, 2)),
+                mat_scale(R.monomial((600_000,)), identity_matrix(R, 2)),
+            ],
+        )
+        counts = {"pack": 0, "digits": 0}
+        pack_first, digits = poly._pack_first, poly._digits
+
+        def counted(name, function):
+            def wrapper(*args):
+                counts[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(poly, "_pack_first", counted("pack", pack_first))
+        monkeypatch.setattr(poly, "_digits", counted("digits", digits))
+        with pytest.raises(ResourceLimitError, match="product degree exceeds"):
+            connection._packed_word(M, (1, 1))
+        # Only A_2 and g_2 were packed, and only the first step reduced.
+        assert counts == {"pack": 4 + 1, "digits": 1}
+        monkeypatch.undo()
+        with pytest.raises(ResourceLimitError, match="product degree exceeds"):
+            left_power_word(M, (1, 1))
+
+
+class TestOracleIndependence:
+    def test_oracle_runs_without_the_katz_route(self, monkeypatch):
+        """The oracle over a packed module shares no code with
+        ``p_curvature``'s Katz recurrence: with both refusing to run, it
+        still represents psi as computed before."""
+        rng = random.Random(7)
+        R = ring(13)
+        matrix = tuple(
+            tuple(line_poly(R, [rng.randrange(1, 13), rng.randrange(1, 13)]) for _ in range(3))
+            for _ in range(3)
+        )
+        M = ConnectionModule(tangent_algebroid(R), 3, (matrix,))
+        assert connection._packs(M.ring, M.rank)
+        C = p_curvature(M)
+
+        def refuse(*args):
+            raise AssertionError("the oracle reached the Katz route")
+
+        monkeypatch.setattr(poly, "katz_recurrence", refuse)
+        monkeypatch.setattr(connection, "katz_recurrence", refuse)
+        monkeypatch.setattr(connection, "_katz_psi", refuse)
+        assert check_abstract_action_oracle(C).passed
+        central = ops.p_curvature_element(ops.generator(M.algebroid, 0))
+        assert represent_operator(M, central).reduce_action().as_matrix() == C.psi[0]
+        with pytest.raises(AssertionError, match="Katz route"):
+            p_curvature(M)

@@ -20,6 +20,8 @@ from pcurv.poly import (
     PolyRing,
     PrimeField,
     ResourceLimitError,
+    _digits,
+    _from_digits,
     charpoly_coefficients,
     det,
     kronecker_mat_mul,
@@ -925,6 +927,21 @@ class TestKroneckerMatMul:
             tracemalloc.stop()
         # One packed entry would take 3 bytes per degree, about 1.5 MB.
         assert peak < 100_000
+
+
+class TestDigitConversions:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 9), st.data())
+    def test_every_width_matches_the_int_arithmetic(self, nbytes, data):
+        """Digits of 3, 5, 6 and 7 bytes convert through ``struct`` padded
+        to the next wider format, those above 8 bytes one by one; every
+        width gives the digits of plain int arithmetic."""
+        digits = data.draw(st.lists(st.integers(0, 2 ** (8 * nbytes) - 1), max_size=20))
+        p = data.draw(st.sampled_from([2, 3, 101, 65537]))
+        n = sum(d << (8 * nbytes * i) for i, d in enumerate(digits))
+        assert _from_digits(digits, nbytes) == n
+        count = -(-n.bit_length() // (8 * nbytes))
+        assert _digits(n, nbytes, p) == [d % p for d in digits[:count]]
 
 
 def leibniz_det(m):
