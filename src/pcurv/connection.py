@@ -361,11 +361,10 @@ def represent_operator(M: ConnectionModule, op: ops.OperatorElement) -> MatrixDi
 
     Where :func:`_packs` holds, a word is built by
     :func:`~pcurv.poly.operator_word`: the W_gamma stay packed between
-    steps, each new entry is one int sum reduced mod p once, and the word
-    is unpacked once, where each ``MatrixDiffOp`` product packed A_a and
-    every W_gamma again, unpacked the result and summed it entry by entry.
-    The product ``MatrixDiffOp.__mul__`` builds the words on every other
-    ring and rank, and is the named test oracle of the packed ones."""
+    steps, each step's entries are reduced mod p in one conversion, and
+    the word is unpacked once.  The product ``MatrixDiffOp.__mul__``
+    builds the words on every other ring and rank, and is the named test
+    oracle of the packed ones."""
     weyl = M.weyl
     packs = _packs(M.ring, M.rank)
     out = MatrixDiffOp(weyl, M.rank, {})
