@@ -79,10 +79,8 @@ LITERAL_DIGITS = 1000
 # The packed terms of the polynomial 1: the unit monomial packs to key 0.
 _UNIT = {0: 1}
 # struct codes of little-endian unsigned ints: digits of these byte widths
-# (every benchmark workload packs at 1 or 2) convert in C, not one by one,
-# and so do those of the _PADDED widths, padded to the next struct width.
+# (every benchmark workload packs at 1 or 2) convert in C, not one by one.
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-_PADDED = {3: 4, 5: 8, 6: 8, 7: 8}
 
 
 class ResourceLimitError(RuntimeError):
@@ -782,8 +780,6 @@ def _digits(n: int, nbytes: int, p: int) -> list:
     """The base-2^(8 nbytes) digits of the int n >= 0, lowest first, each
     reduced mod p."""
     data = n.to_bytes(-(-n.bit_length() // (8 * nbytes)) * nbytes, "little")
-    if nbytes in _PADDED:
-        data, nbytes = _regroup(data, nbytes, _PADDED[nbytes]), _PADDED[nbytes]
     if nbytes in _FORMATS:
         return [d % p for d in struct.unpack(f"<{len(data) // nbytes}{_FORMATS[nbytes]}", data)]
     return [int.from_bytes(data[i : i + nbytes], "little") % p for i in range(0, len(data), nbytes)]
@@ -791,22 +787,9 @@ def _digits(n: int, nbytes: int, p: int) -> list:
 
 def _from_digits(digits: list, nbytes: int) -> int:
     """The int with these base-2^(8 nbytes) digits, lowest first."""
-    if nbytes in _PADDED:
-        size = _PADDED[nbytes]
-        data = struct.pack(f"<{len(digits)}{_FORMATS[size]}", *digits)
-        return int.from_bytes(_regroup(data, size, nbytes), "little")
     if nbytes in _FORMATS:
         return int.from_bytes(struct.pack(f"<{len(digits)}{_FORMATS[nbytes]}", *digits), "little")
     return int.from_bytes(b"".join([d.to_bytes(nbytes, "little") for d in digits]), "little")
-
-
-def _regroup(data, width: int, size: int) -> bytearray:
-    """The little-endian digits of ``data``, ``width`` bytes each, laid out
-    ``size`` bytes each: zero-padded, or cut to their low bytes."""
-    out = bytearray(len(data) // width * size)
-    for i in range(min(width, size)):
-        out[i::size] = data[i::width]
-    return out
 
 
 def _unpack_first(ring: PolyRing, packed: dict, nbytes: int) -> Poly:

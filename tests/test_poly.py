@@ -933,9 +933,9 @@ class TestDigitConversions:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 9), st.data())
     def test_every_width_matches_the_int_arithmetic(self, nbytes, data):
-        """Digits of 3, 5, 6 and 7 bytes convert through ``struct`` padded
-        to the next wider format, those above 8 bytes one by one; every
-        width gives the digits of plain int arithmetic."""
+        """Digits of 1, 2, 4 and 8 bytes convert through ``struct``, the
+        other widths one by one; every width gives the digits of plain int
+        arithmetic."""
         digits = data.draw(st.lists(st.integers(0, 2 ** (8 * nbytes) - 1), max_size=20))
         p = data.draw(st.sampled_from([2, 3, 101, 65537]))
         n = sum(d << (8 * nbytes * i) for i, d in enumerate(digits))
