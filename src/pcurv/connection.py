@@ -24,9 +24,10 @@ and, writing e_a^[p] = f + sum_k h_k e_k,
 
 Over a one-variable ring at rank above 1 the recurrence runs on packed
 ints (:func:`~pcurv.poly.katz_recurrence`): A_a and the anchor coefficient
-are packed once, each step is one integer dot product per entry plus the
-derivative read off that entry's reduced digits, and only X_p is unpacked.
-Rank 1 and several variables keep the loop on polynomial matrices.
+are packed once, each step is one integer dot product per entry, all
+reduced mod p at once with the derivative read off the reduced digits,
+and only X_p is unpacked.  Rank 1 and several variables keep the loop on
+polynomial matrices.
 
 That psi_a has no differential part is checked on derivations alone.  By
 Jacobson's formula (delta_a I + A_a)^p - delta_a^p I - A_a^p is a sum of
@@ -117,12 +118,12 @@ def _packs(ring: PolyRing, rank: int) -> bool:
     ``mat_mul``, :func:`~pcurv.poly.katz_recurrence` for the p-curvature
     and :func:`~pcurv.poly.operator_word` for the oracle's words in
     :func:`represent_operator`: over one variable at rank above 1.  At
-    rank 1 a matrix product is one polynomial product, which packing only
-    slows; a packed recurrence at rank 1 gave 1.497 s per ``bundled``
-    benchmark pass, against 1.455 s on ``Poly`` (2-core host, Python
-    3.11).  Over several variables an
-    entry packs into one int per monomial in the other variables, and
-    only the characteristic polynomial is measured to gain from that."""
+    rank 1 a matrix product is one polynomial product, which packing
+    slows: packing rank 1 too gave a ``bundled`` ``job_p50_s`` of 0.0030 s
+    against 0.0027 s (worse in 10 of 10 alternating pairs, 2-core host,
+    Python 3.11).  Over several variables an entry packs into one int per
+    monomial in the other variables, and only the characteristic
+    polynomial is measured to gain from that."""
     return rank > 1 and ring.nvars == 1
 
 
@@ -541,24 +542,19 @@ def check_higgs_commutativity(C: PCurvature) -> ValidationReport:
 
 def check_flat_commutation(C: PCurvature) -> ValidationReport:
     """Each psi_a commutes with the full module action: as operators,
-    [psi_a, nabla_{e_b}] = 0.  The commutator is formed once; its d^0
-    coefficient is [psi_a, A_b] - delta_b . psi_a (the anchor applied
-    entrywise) and every d_j coefficient is 0, so the matrix form
-
-        [psi_a, A_b] = delta_b . psi_a
-
-    fails exactly when that d^0 coefficient is present."""
+    [psi_a, nabla_{e_b}] = 0.  The anchor part of nabla_{e_b} is scalar, so
+    that commutator is [psi_a, A_b] - delta_b . psi_a (the anchor applied
+    entrywise) at d^0 and 0 at every d_j.  Both checks read that one
+    matrix: the operator form, and the matrix form
+    [psi_a, A_b] = delta_b . psi_a."""
     rep = ValidationReport("commutation of the p-curvature with the module action")
     M, A = C.module, C.algebroid
-    d0 = (0,) * M.weyl.rank
     bad_op, bad_matrix = [], []
-    for a in range(A.rank):
-        psi_op = MatrixDiffOp.from_matrix(M.weyl, C.psi[a])
+    for a, psi in enumerate(C.psi):
         for b in range(A.rank):
-            commutator = psi_op.commutator(M.actions[b])
-            if not commutator.is_zero():
+            commutator = mat_sub(mat_commutator(psi, M.matrices[b]), mat_map(A.anchor[b], psi))
+            if not mat_is_zero(commutator):
                 bad_op.append(f"[psi_{a + 1}, nabla_{b + 1}]")
-            if d0 in commutator.coeffs:
                 bad_matrix.append(f"(a={a + 1}, b={b + 1})")
     rep.check("commutes_with_module_action", bad_op, shown=2)
     rep.check("matrix_commutation_identity", bad_matrix, shown=2)

@@ -792,6 +792,24 @@ def _from_digits(digits: list, nbytes: int) -> int:
     return int.from_bytes(b"".join([d.to_bytes(nbytes, "little") for d in digits]), "little")
 
 
+def _reduce(sums: list, nbytes: int, p: int):
+    """The base-2^(8 nbytes) digits of the ints ``sums`` >= 0 reduced mod p
+    in one conversion, lowest first, each int in a slot of ``size`` digits
+    padded with zeros, and ``size``; :func:`_slots` reads the slots back."""
+    size = max(sums, default=0).bit_length() // (8 * nbytes) + 1
+    data = b"".join([n.to_bytes(size * nbytes, "little") for n in sums])
+    digits = _digits(int.from_bytes(data, "little"), nbytes, p)
+    return digits + [0] * (size * len(sums) - len(digits)), size
+
+
+def _slots(digits: list, size: int, nbytes: int, start: int = 0) -> list:
+    """One int per slot of ``size`` digits of ``digits``, read from the
+    slot's digit ``start`` on: start 1 drops each slot's lowest digit."""
+    data = _from_digits(digits, nbytes).to_bytes(len(digits) * nbytes, "little")
+    step, skip = size * nbytes, start * nbytes
+    return [int.from_bytes(data[k + skip : k + step], "little") for k in range(0, len(data), step)]
+
+
 def _unpack_first(ring: PolyRing, packed: dict, nbytes: int) -> Poly:
     """The polynomial whose coefficients are the digits of ``packed``, as
     :func:`_pack_first` lays them out, reduced mod p."""
@@ -806,7 +824,7 @@ def _unpack_first(ring: PolyRing, packed: dict, nbytes: int) -> Poly:
 
 def _packed_sum(pairs, nbytes: int, p: int) -> dict:
     """sum a * b over the pairs of packed entries, reduced mod p: one int
-    product per pair of keys, then one reduction per key."""
+    product per pair of keys, then one :func:`_reduce` for all keys."""
     acc = {}
     get = acc.get
     for a, b in pairs:
@@ -814,12 +832,8 @@ def _packed_sum(pairs, nbytes: int, p: int) -> dict:
             for kb, nb in b.items():
                 k = ka + kb
                 acc[k] = get(k, 0) + na * nb
-    out = {}
-    for k, n in acc.items():
-        digits = _digits(n, nbytes, p)
-        if any(digits):
-            out[k] = _from_digits(digits, nbytes)
-    return out
+    reduced = _slots(*_reduce(list(acc.values()), nbytes, p), nbytes)
+    return {k: n for k, n in zip(acc, reduced) if n}
 
 
 def kronecker_mat_mul(a, b):
@@ -864,10 +878,10 @@ def katz_recurrence(b, g: Poly, steps: int):
     for a square matrix b of polynomials over a one-variable ring and the
     derivation g d/dx, with every X_k packed as in
     :func:`kronecker_mat_mul`.  b and g are packed once (B, G); each step
-    forms every entry sum_k B_ik X_kj + G X_ij' as one int and reduces its
-    digits mod p once; only X_steps is unpacked.  X_ij' comes from the
-    digits that reduction produced: digit e becomes e c_e mod p, one place
-    lower.
+    forms every entry sum_k B_ik X_kj + G X_ij' as one int and reduces the
+    digits of all r^2 entries mod p in one :func:`_reduce`; only X_steps is
+    unpacked.  X_ij' comes from the digits that reduction produced: digit
+    e becomes e c_e mod p, one place lower.
 
     One width serves every step.  A digit of B_ik X_kj sums at most
     d_b + 1 products of two coefficients in 0..p-1, and a digit of G X_ij'
@@ -882,28 +896,29 @@ def katz_recurrence(b, g: Poly, steps: int):
     ring = g.ring
     if ring.nvars != 1:
         raise ValueError("Kronecker substitution needs a one-variable ring")
-    p, d_g = ring.p, g.total_degree()
+    p, d_g, r = ring.p, g.total_degree(), len(b)
     d_b = max(x.total_degree() for row in b for x in row)
-    nbytes = (((len(b) * (d_b + 1) + d_g + 1) * (p - 1) ** 2).bit_length() + 7) // 8 or 1
+    nbytes = (((r * (d_b + 1) + d_g + 1) * (p - 1) ** 2).bit_length() + 7) // 8 or 1
     w = 8 * nbytes
     rows = [[_pack_first(x, w).get(0, 0) for x in row] for row in b]
     packed_g = _pack_first(g, w).get(0, 0)
-    x = rows
-    digits = [[_digits(n, nbytes, p) for n in row] for row in rows]
+    # X_k,ij is x[i r + j], and its reduced digits are slot i r + j of digits.
+    x = [n for row in rows for n in row]
+    digits, size = _reduce(x, nbytes, p)
     for _ in range(steps - 1):
-        d_x = (max(n.bit_length() for row in x for n in row) - 1) // w
+        d_x = (max(x).bit_length() - 1) // w
         if d_b + d_x > DEGREE_LIMIT or packed_g and d_g + d_x - 1 > DEGREE_LIMIT:
             raise ResourceLimitError("product degree exceeds the configured bound")
-        columns = list(zip(*x))
-        sums = [[sum(map(operator.mul, row, c)) for c in columns] for row in rows]
+        columns = [x[j::r] for j in range(r)]
+        sums = [sum(map(operator.mul, row, c)) for row in rows for c in columns]
         if packed_g:
-            for sum_row, digit_row in zip(sums, digits):
-                for j, d in enumerate(digit_row):
-                    derivative = [e * c % p for e, c in enumerate(d[1:], 1)]
-                    sum_row[j] += packed_g * _from_digits(derivative, nbytes)
-        digits = [[_digits(n, nbytes, p) for n in row] for row in sums]
-        x = [[_from_digits(d, nbytes) for d in row] for row in digits]
-    return tuple(tuple(_unpack_first(ring, {0: n}, nbytes) for n in row) for row in x)
+            ramp = itertools.cycle(range(size))
+            derivative = _slots([e * c % p for e, c in zip(ramp, digits)], size, nbytes, 1)
+            sums = [n + packed_g * d for n, d in zip(sums, derivative)]
+        digits, size = _reduce(sums, nbytes, p)
+        x = _slots(digits, size, nbytes)
+    entries = [_unpack_first(ring, {0: n}, nbytes) for n in x]
+    return tuple(tuple(entries[i : i + r]) for i in range(0, r * r, r))
 
 
 def operator_word(factors, exponents) -> list:
@@ -920,10 +935,10 @@ def operator_word(factors, exponents) -> list:
     (B . W_gamma + G W_gamma') d^gamma + G W_gamma d^(gamma + 1), so each
     new entry sum_k B_ik W_gamma,kj + G (W_gamma,ij' + W_gamma-1,ij) is
     one int.  The digits of all of a step's entries are reduced mod p
-    once, as one int with one slot of equal length per entry, so a step
-    costs a few conversions however many entries it has.  W_gamma,ij'
-    comes from the digits that reduction produced: digit e becomes
-    e c_e mod p, one place lower.  Only the finished word is unpacked.
+    once (:func:`_reduce`), so a step costs a few conversions however many
+    entries it has.  W_gamma,ij' comes from the digits that reduction
+    produced: digit e becomes e c_e mod p, one place lower.  Only the
+    finished word is unpacked.
 
     One width serves the whole word.  A digit of B_ik W_kj sums at most
     d_b + 1 products of two coefficients in 0..p-1, and one of G W' or of
@@ -977,25 +992,13 @@ def operator_word(factors, exponents) -> list:
                     n + packed_g * (d + v)
                     for n, d, v in zip(sums + [0] * rr, derivative + [0] * rr, [0] * rr + word)
                 ]
-            # One reduction for the step: every sum in a slot of ``size`` digits.
-            size = max(n.bit_length() for n in sums) // w + 1
-            data = b"".join([n.to_bytes(size * nbytes, "little") for n in sums])
-            digits = _digits(int.from_bytes(data, "little"), nbytes, p)
-            digits += [0] * (size * len(sums) - len(digits))
+            digits, size = _reduce(sums, nbytes, p)
             word = _slots(digits, size, nbytes)
     entries = [_unpack_first(ring, {0: n}, nbytes) for n in word]
     return [
         tuple(tuple(entries[k + i : k + i + r]) for i in range(0, rr, r))
         for k in range(0, len(entries), rr)
     ]
-
-
-def _slots(digits: list, size: int, nbytes: int, start: int = 0) -> list:
-    """One int per slot of ``size`` digits of ``digits``, read from the
-    slot's digit ``start`` on: start 1 drops each slot's lowest digit."""
-    data = _from_digits(digits, nbytes).to_bytes(len(digits) * nbytes, "little")
-    step, skip = size * nbytes, start * nbytes
-    return [int.from_bytes(data[k + skip : k + step], "little") for k in range(0, len(data), step)]
 
 
 def charpoly_coefficients(matrix) -> list:

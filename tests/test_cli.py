@@ -843,10 +843,13 @@ def crystalline_1d_at(tmp_path, p):
 
 class TestOracleCost:
     """The oracle builds each word e^beta by left-multiplying by one
-    generator action at a time: at most p products of matrix operators per
-    generator for e_a^p, each with an order-1 action on the left.
-    Square-and-multiply takes fewer products but squares words of positive
-    order, O(p^3) generator rewrites in all where this costs O(p^2)."""
+    generator action at a time: at most p steps per generator for e_a^p,
+    each with an order-1 action on the left.  Square-and-multiply takes
+    fewer products but squares words of positive order, O(p^3) generator
+    rewrites in all where this costs O(p^2).  On the ``MatrixDiffOp``
+    route a step is one operator product; where ``connection._packs``
+    holds it is one step of ``poly.operator_word``, which reduces its
+    digits once."""
 
     def test_oracle_multiplies_by_one_action_at_a_time(self, tmp_path, monkeypatch):
         p = 13
@@ -865,6 +868,30 @@ class TestOracleCost:
         assert 0 < len(left_factors) <= p * scenario.algebroid.rank
         assert all(any(left is action for action in actions) for left in left_factors)
 
+    def test_packed_words_take_one_step_per_action(self, tmp_path, monkeypatch):
+        p = 13
+        scenario = load_scenario(write_scenario(tmp_path, line_module_doc(p, 3, ["x"])))
+        C = connection.p_curvature(scenario.module)
+        counts = Counter()
+        operator_word, reduce_step = connection.operator_word, poly._reduce
+
+        def counted_word(factors, exponents):
+            counts["actions"] += sum(exponents)
+            return operator_word(factors, exponents)
+
+        def counted_reduce(*args):
+            counts["steps"] += 1
+            return reduce_step(*args)
+
+        def refuse(*args):
+            raise AssertionError("a MatrixDiffOp product on the packed route")
+
+        monkeypatch.setattr(connection, "operator_word", counted_word)
+        monkeypatch.setattr(poly, "_reduce", counted_reduce)
+        monkeypatch.setattr(connection.MatrixDiffOp, "__mul__", refuse)
+        assert connection.check_abstract_action_oracle(C).passed
+        assert 0 < counts["steps"] == counts["actions"] <= p * scenario.algebroid.rank
+
     def test_descend_at_p61_passes_the_oracle(self, tmp_path):
         report, code = run_scenario(crystalline_1d_at(tmp_path, 61), "descend")
         assert code == EXIT_OK
@@ -873,10 +900,10 @@ class TestOracleCost:
 
 
 class TestHiggsCommutationCost:
-    """Over a zero anchor every generator action is the single matrix A_b
-    at d^0, so each operator commutator [psi_a, nabla_{e_b}] in the
-    commutation check is two polynomial matrix products, and no element of
-    the Weyl algebra is multiplied."""
+    """Each commutator [psi_a, nabla_{e_b}] in the commutation check is the
+    matrix [psi_a, A_b] - delta_b . psi_a: two polynomial matrix products,
+    and no product of matrix operators or of enveloping-algebra
+    elements."""
 
     def test_each_commutator_is_two_matrix_products(self, monkeypatch):
         scenario = load_scenario(GOLDEN / "higgs_wide_p5.json")
@@ -884,16 +911,16 @@ class TestHiggsCommutationCost:
         counts = Counter()
         per_commutator = []
         mat_mul = connection.mat_mul
-        commutator = connection.MatrixDiffOp.commutator
+        commutator = connection.mat_commutator
         operator_mul = operators.OperatorElement.__mul__
+        diff_op_mul = connection.MatrixDiffOp.__mul__
 
-        def counted_mat_mul(a, b):
-            counts["mat_mul"] += 1
-            return mat_mul(a, b)
+        def counted(name, function):
+            def wrapper(x, y):
+                counts[name] += 1
+                return function(x, y)
 
-        def counted_operator_mul(x, y):
-            counts["operator_mul"] += 1
-            return operator_mul(x, y)
+            return wrapper
 
         def counted_commutator(x, y):
             before = counts["mat_mul"]
@@ -901,15 +928,13 @@ class TestHiggsCommutationCost:
             per_commutator.append(counts["mat_mul"] - before)
             return out
 
-        monkeypatch.setattr(connection, "mat_mul", counted_mat_mul)
-        monkeypatch.setattr(operators.OperatorElement, "__mul__", counted_operator_mul)
-        monkeypatch.setattr(connection.MatrixDiffOp, "commutator", counted_commutator)
+        monkeypatch.setattr(connection, "mat_mul", counted("mat_mul", mat_mul))
+        monkeypatch.setattr(operators.OperatorElement, "__mul__", counted("op", operator_mul))
+        monkeypatch.setattr(connection.MatrixDiffOp, "__mul__", counted("diff_op", diff_op_mul))
+        monkeypatch.setattr(connection, "mat_commutator", counted_commutator)
         assert connection.check_flat_commutation(C).passed
-        assert counts["operator_mul"] == 0
-        assert len(per_commutator) == scenario.algebroid.rank**2 == 9
-        assert all(n <= 2 for n in per_commutator)
-        # both checks read the one commutator per pair: forming [psi_a, A_b]
-        # again for the matrix identity made 36 products
+        assert counts["op"] == counts["diff_op"] == 0
+        assert per_commutator == [2] * scenario.algebroid.rank**2 == [2] * 9
         assert counts["mat_mul"] == 18
 
 

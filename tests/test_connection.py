@@ -519,11 +519,11 @@ def line_poly(R, coefficients):
 
 @st.composite
 def katz_cases(draw):
-    """B of rank 2-4 over F_p[x], p in {2, 3, 5, 7, 13}, entries of degree
+    """B of rank 1-4 over F_p[x], p in {2, 3, 5, 7, 13}, entries of degree
     0-3 (possibly zero), and g zero or not, of degree 0-3."""
     p = draw(st.sampled_from([2, 3, 5, 7, 13]))
     R = ring(p)
-    r = draw(st.integers(2, 4))
+    r = draw(st.integers(1, 4))
     coefficients = st.lists(st.integers(0, p - 1), min_size=1, max_size=4)
     b = tuple(tuple(line_poly(R, draw(coefficients)) for _ in range(r)) for _ in range(r))
     g = line_poly(R, draw(coefficients)) if draw(st.booleans()) else R.zero()
@@ -648,7 +648,7 @@ def line_module(anchors, matrices):
 
 @st.composite
 def word_cases(draw):
-    """A module of rank 2-4 over F_p[x], p in {3, 5, 13, 101} (digit widths
+    """A module of rank 1-4 over F_p[x], p in {3, 5, 13, 101} (digit widths
     of 1, 2 and 3 bytes), over 1-3 generators whose anchor coefficients are
     zero, a nonzero constant or non-constant (as e2 = x d/dx of the affine
     algebroid), with entries of degree 0-2, possibly zero; and the
@@ -656,7 +656,7 @@ def word_cases(draw):
     power in it."""
     p = draw(st.sampled_from([3, 5, 13, 101]))
     R = ring(p)
-    r, m = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    r, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     coefficients = st.lists(st.integers(0, p - 1), min_size=1, max_size=3)
     nonzero = st.integers(1, p - 1)
 
@@ -683,10 +683,13 @@ class TestPackedOracleWords:
     @settings(max_examples=120, deadline=None)
     @given(word_cases())
     def test_matches_left_power(self, case):
+        """``represent_operator`` takes the packed route at rank 2-4; the
+        kernel is also compared at rank 1, where it is not used."""
         M, beta = case
-        assert connection._packs(M.ring, M.rank)
+        expected = left_power_word(M, beta)
+        assert connection._packed_word(M, beta) == expected
         element = ops.OperatorElement(M.algebroid, {beta: M.ring.one()})
-        assert represent_operator(M, element) == left_power_word(M, beta)
+        assert represent_operator(M, element) == expected
 
     @pytest.mark.parametrize(
         "p, r, d_b, d_g, nbytes, nbytes_2",
@@ -782,3 +785,63 @@ class TestOracleIndependence:
         assert represent_operator(M, central).reduce_action().as_matrix() == C.psi[0]
         with pytest.raises(AssertionError, match="Katz route"):
             p_curvature(M)
+
+
+# -- one route per ring shape ---------------------------------------------------
+
+
+def packed_route_modules():
+    """Modules over F_7[x] on the packed route: tangent modules of rank 2
+    and 3, and a rank-2 Higgs module with the commuting fields A and
+    A . A + x I."""
+    rng = random.Random(3)
+    R = ring(7)
+    for r in (2, 3):
+        yield ConnectionModule(tangent_algebroid(R), r, (random_matrix(rng, R, r),))
+    a = random_matrix(rng, R, 2)
+    field = mat_add(mat_mul(a, a), mat_scale(R.variable("x"), identity_matrix(R, 2)))
+    yield ConnectionModule(higgs_algebroid(R, 2, [[R.zero()] * 2] * 2), 2, (a, field))
+
+
+class TestLineRoute:
+    @pytest.mark.parametrize("M", list(packed_route_modules()), ids=["r2", "r3", "higgs"])
+    def test_no_poly_matrix_or_operator_products(self, monkeypatch, M):
+        """Over one variable at rank above 1 the p-curvature, p-linearity,
+        the oracle and the commutation check form no ``MatrixDiffOp``
+        product and no entrywise product of ``Poly`` matrices: each
+        recurrence is ``katz_recurrence``, each word ``operator_word`` and
+        each matrix product ``kronecker_mat_mul``.  Flatness multiplies the
+        generator actions; it runs once per module, before the counting."""
+        assert M.flatness.passed
+        panel = poly_panel(M.ring, 2, seed=0, max_degree=2)
+        counts = {"mat_mul": 0, "kronecker": 0, "katz": 0, "word": 0}
+
+        def counted(name, function):
+            def wrapper(*args):
+                counts[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        def refuse(*args):
+            raise AssertionError("a MatrixDiffOp product on the line")
+
+        monkeypatch.setattr(MatrixDiffOp, "__mul__", refuse)
+        monkeypatch.setattr(connection, "mat_mul", counted("mat_mul", mat_mul))
+        for name, attr in (
+            ("kronecker", "kronecker_mat_mul"),
+            ("katz", "katz_recurrence"),
+            ("word", "operator_word"),
+        ):
+            monkeypatch.setattr(connection, attr, counted(name, getattr(connection, attr)))
+        C = p_curvature(M)
+        assert check_p_linearity(C, panel).passed
+        assert check_abstract_action_oracle(C).passed
+        assert check_flat_commutation(C).passed
+        m = M.algebroid.rank
+        assert counts == {
+            "mat_mul": 2 * m * m,
+            "kronecker": 2 * m * m,
+            "katz": m * (1 + len(panel)),
+            "word": m,
+        }

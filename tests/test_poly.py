@@ -22,6 +22,8 @@ from pcurv.poly import (
     ResourceLimitError,
     _digits,
     _from_digits,
+    _reduce,
+    _slots,
     charpoly_coefficients,
     det,
     kronecker_mat_mul,
@@ -942,6 +944,30 @@ class TestDigitConversions:
         assert _from_digits(digits, nbytes) == n
         count = -(-n.bit_length() // (8 * nbytes))
         assert _digits(n, nbytes, p) == [d % p for d in digits[:count]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 4]), st.data())
+    def test_reduce_gives_each_int_one_slot(self, nbytes, data):
+        """``_reduce`` reduces a list of ints in one conversion: zeros,
+        ints of different lengths and ints whose top digits reduce to 0.
+        Each int fills one slot of ``size`` digits, its own ``_digits``
+        padded with zeros, and ``_slots`` reads back the reduced ints."""
+        p = data.draw(st.sampled_from([2, 3, 13, 101, 65537]))
+        top = 2 ** (8 * nbytes) - 1
+        digit = st.integers(0, top)
+        vanishing = st.integers(0, top // p).map(lambda k: k * p)
+        lists = st.just([]) | st.builds(
+            add, st.lists(digit, max_size=5), st.lists(vanishing, min_size=1, max_size=3)
+        )
+        digit_lists = data.draw(st.lists(lists, max_size=8))
+        sums = [sum(d << (8 * nbytes * i) for i, d in enumerate(ds)) for ds in digit_lists]
+        digits, size = _reduce(sums, nbytes, p)
+        assert len(digits) == size * len(sums)
+        for k, n in enumerate(sums):
+            own = _digits(n, nbytes, p)
+            assert digits[k * size : (k + 1) * size] == own + [0] * (size - len(own))
+        reduced = [sum(d % p << (8 * nbytes * i) for i, d in enumerate(ds)) for ds in digit_lists]
+        assert _slots(digits, size, nbytes) == reduced
 
 
 def leibniz_det(m):
