@@ -124,18 +124,20 @@ class AlgebroidPresentation:
         """Bracket of two coefficient vectors: the H part of
         :meth:`lambda1_bracket`."""
         zero = self.ring.zero()
-        return self.lambda1_bracket((zero, D), (zero, E))[1]
+        return self.lambda1_bracket((zero, D), (zero, E), self.anchor_of(D))[1]
 
-    def lambda1_bracket(self, x, y):
+    def lambda1_bracket(self, x, y, delta_x):
         """Commutator of two degree-one elements f + D, g + E given as
         (function, H-vector) pairs:
 
             [f + D, g + E] = (delta_D(g) - delta_E(f)) + [D, E],
 
         with [D, E] the bracket table extended by the Leibniz rule.  The
-        anchors delta_D and delta_E are formed once, for both parts."""
+        caller passes delta_D as ``delta_x`` (formed once by a caller that
+        brackets one x many times); delta_E is formed here, once for both
+        parts.  A basis pair with a zero bracket costs no product."""
         (f, D), (g, E) = x, y
-        delta_D, delta_E = self.anchor_of(D), self.anchor_of(E)
+        delta_D, delta_E = delta_x, self.anchor_of(E)
         function = self.ring.zero()
         if not g.is_zero():
             function = delta_D(g)
@@ -146,7 +148,7 @@ class AlgebroidPresentation:
             if u.is_zero():
                 continue
             for b, v in enumerate(E):
-                if v.is_zero():
+                if v.is_zero() or not any(self.bracket[a][b]):
                     continue
                 uv = u * v
                 for k, c in enumerate(self.bracket[a][b]):
@@ -180,19 +182,17 @@ class AlgebroidPresentation:
 
         x_big, y_big = lift(x), lift(y)
         z = (tau * x_big[0] + y_big[0], big.h_add(big.h_scale(tau, x_big[1]), y_big[1]))
+        delta_z = big.anchor_of(z[1])
         w = x_big
         for _ in range(p - 1):
-            w = big.lambda1_bracket(z, w)
+            w = big.lambda1_bracket(z, w, delta_z)
         zero = self.ring.zero()
-        function_parts = w[0].split_variable(tau_name)
-        vector_parts = [c.split_variable(tau_name) for c in w[1]]
+        parts = [c.split_variable(tau_name) for c in (w[0], *w[1])]
         out = []
         for i in range(1, p):
             inv_i = self.ring.field.inv(i)
-            out.append((
-                function_parts.get(i - 1, zero) * inv_i,
-                tuple(parts.get(i - 1, zero) * inv_i for parts in vector_parts),
-            ))
+            f, *vec = (part.get(i - 1, zero) * inv_i for part in parts)
+            out.append((f, tuple(vec)))
         return out
 
     @cached_property
@@ -201,6 +201,13 @@ class AlgebroidPresentation:
         adjoined, and tau's name: built once, for :meth:`lie_polynomials`."""
         big_ring, (tau_name,) = self.ring.adjoin("tau")
         return self.map_to(big_ring), tau_name
+
+    @cached_property
+    def _pbw_table(self):
+        """e_a * e^beta in PBW normal form as plain dicts {gamma: coefficient},
+        keyed (a, beta), filled by :func:`pcurv.operators._generator_times_monomial`;
+        no value refers back to the presentation, so it makes no cycle."""
+        return {}
 
     def p_operation(self, D):
         """e -> e^[p] on a general element, extended from the basis table.

@@ -209,34 +209,41 @@ def _monomial_times(A: AlgebroidPresentation, beta, op: OperatorElement) -> Oper
     """e^beta * op in normal form, peeled from the innermost (largest) generator."""
     for a in reversed(range(A.rank)):
         for _ in range(beta[a]):
-            op = _collect(A, _generator_times(A, a, op))
+            op = _collect(A, _generator_times(A, a, op.terms))
     return op
 
 
-def _generator_times(A: AlgebroidPresentation, a: int, op: OperatorElement):
-    """The terms of e_a * op, in normal form but not collected."""
+def _generator_times(A: AlgebroidPresentation, a: int, terms: dict):
+    """The terms of e_a * sum(terms), in normal form but not collected."""
     delta_a = A.anchor[a]
-    for beta, f in op.terms.items():
+    for beta, f in terms.items():
         # e_a * f e^beta = f * (e_a e^beta) + delta_a(f) e^beta
-        for gamma, g in _generator_times_monomial(A, a, beta).terms.items():
+        for gamma, g in _generator_times_monomial(A, a, beta).items():
             yield gamma, f * g
         yield beta, delta_a(f)
 
 
-def _generator_times_monomial(A: AlgebroidPresentation, a: int, beta) -> OperatorElement:
-    """e_a * e^beta in normal form."""
+def _generator_times_monomial(A: AlgebroidPresentation, a: int, beta) -> dict:
+    """e_a * e^beta in normal form, as a dict {gamma: coefficient}: read
+    from the presentation's PBW table ``A._pbw_table``, or derived and
+    stored there.  Callers must not change the dict."""
+    terms = A._pbw_table.get((a, beta))
+    if terms is not None:
+        return terms
     support = [c for c, k in enumerate(beta) if k]
     if not support or a <= support[0]:
-        bumped = tuple(k + 1 if c == a else k for c, k in enumerate(beta))
-        return OperatorElement(A, {bumped: A.ring.one()})
-    b = support[0]
-    rest = tuple(k - 1 if c == b else k for c, k in enumerate(beta))
-    # e_a e^beta = e_b (e_a e^rest) + [e_a, e_b] e^rest
-    terms = _generator_times(A, b, _generator_times_monomial(A, a, rest))
-    bracket_ab = from_h_element(A, A.bracket[a][b])
-    if not bracket_ab.is_zero():
-        terms = chain(terms, (bracket_ab * OperatorElement(A, {rest: A.ring.one()})).terms.items())
-    return _collect(A, terms)
+        terms = {tuple(k + 1 if c == a else k for c, k in enumerate(beta)): A.ring.one()}
+    else:
+        b = support[0]
+        rest = tuple(k - 1 if c == b else k for c, k in enumerate(beta))
+        # e_a e^beta = e_b (e_a e^rest) + [e_a, e_b] e^rest
+        pairs = _generator_times(A, b, _generator_times_monomial(A, a, rest))
+        bracket_ab = from_h_element(A, A.bracket[a][b])
+        if not bracket_ab.is_zero():
+            pairs = chain(pairs, (bracket_ab * OperatorElement(A, {rest: A.ring.one()})).terms.items())
+        terms = _collect(A, pairs).terms
+    A._pbw_table[a, beta] = terms
+    return terms
 
 
 # -- p-structure on degree-at-most-1 elements ------------------------------------

@@ -1,10 +1,11 @@
+import pathlib
 import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_operators import AFFINE
+from test_operators import AFFINE, pbw_cases
 
 from pcurv import operators as ops
 from pcurv.algebroid import (
@@ -18,8 +19,9 @@ from pcurv.algebroid import (
     validate_algebroid,
     validate_p_structure,
 )
+from pcurv.cli import load_scenario
 from pcurv.panels import random_poly, random_vector
-from pcurv.poly import Derivation, PolyRing, PrimeField, parse_poly
+from pcurv.poly import Derivation, Poly, PolyRing, PrimeField, parse_poly
 
 
 def ring(p, names=("x",), rees=None):
@@ -490,5 +492,36 @@ class TestLambda1Bracket:
 
         x = (maybe_zero(), tuple(maybe_zero() for _ in range(A.rank)))
         y = (maybe_zero(), tuple(maybe_zero() for _ in range(A.rank)))
-        assert A.lambda1_bracket(x, y) == two_step_bracket(A, x, y)
+        assert A.lambda1_bracket(x, y, A.anchor_of(x[1])) == two_step_bracket(A, x, y)
         assert A.h_bracket(x[1], y[1]) == two_step_bracket(A, x, y)[1]
+
+
+# -- the PBW product table against products derived afresh ----------------------
+
+TESTS = pathlib.Path(__file__).resolve().parent
+TABLE_PRESENTATIONS = {
+    "sl2-action-p3": load_scenario(str(TESTS / "golden" / "sl2_action_p3.json")).algebroid,
+    "crystalline-2d-p3": load_scenario(str(TESTS.parent / "scenarios" / "crystalline_2d.json")).algebroid,
+    "random-anchor-xy-p5": ANCHOR_PRESENTATIONS["random-anchor-xy-p5"],
+}
+
+
+class TestPbwTable:
+    """``AlgebroidPresentation._pbw_table`` keeps each e_a * e^beta the
+    normal form needed; a product read from it equals the product with
+    every e_a * e^beta derived again."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pbw_cases(TABLE_PRESENTATIONS))
+    def test_products_match_products_without_the_table(self, case):
+        A, x, y, _ = case
+        product = x * y
+        # the second product reads every e_a * e^beta from the table
+        assert x * y == product
+        with pytest.MonkeyPatch.context() as patch:
+            # every lookup sees a fresh empty dict, so nothing is ever found
+            patch.setattr(AlgebroidPresentation, "_pbw_table", property(lambda self: {}))
+            assert x * y == product
+        for (a, beta), terms in A._pbw_table.items():
+            assert 0 <= a < A.rank and len(beta) == A.rank
+            assert all(type(c) is Poly for c in terms.values())

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import pathlib
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 from collections import Counter
 
 import pytest
@@ -968,26 +970,71 @@ class TestAnchorOfCost:
         assert set(per_call) == {1}
 
     def test_each_bracket_forms_two_anchors(self, monkeypatch):
-        """``lambda1_bracket`` (and ``h_bracket`` through it) forms delta_D
-        and delta_E once each, for the function and the H part together."""
+        """Each bracket forms delta_D and delta_E at most once each, for the
+        function and the H part together: ``lambda1_bracket`` takes delta_D
+        from its caller and forms delta_E, ``h_bracket`` forms both, and
+        ``lie_polynomials`` forms delta_z once for its p - 1 brackets, so
+        one call of it forms exactly p anchors."""
         anchors = Counter()
-        per_call = []
-        anchor_of = algebroid.AlgebroidPresentation.anchor_of
-        bracket = algebroid.AlgebroidPresentation.lambda1_bracket
+        per_call = {"lambda1_bracket": [], "h_bracket": [], "lie_polynomials": []}
+        presentation = algebroid.AlgebroidPresentation
+        anchor_of = presentation.anchor_of
 
         def counted_anchor_of(self, D):
             anchors["anchor_of"] += 1
             return anchor_of(self, D)
 
-        def counted_bracket(self, x, y):
-            before = anchors["anchor_of"]
-            out = bracket(self, x, y)
-            per_call.append(anchors["anchor_of"] - before)
-            return out
+        def counted(name):
+            method = getattr(presentation, name)
 
-        monkeypatch.setattr(algebroid.AlgebroidPresentation, "anchor_of", counted_anchor_of)
-        monkeypatch.setattr(algebroid.AlgebroidPresentation, "lambda1_bracket", counted_bracket)
-        report, code = run_scenario(str(SCENARIOS / "crystalline_2d.json"), "validate")
+            def call(self, *args):
+                before = anchors["anchor_of"]
+                out = method(self, *args)
+                per_call[name].append(anchors["anchor_of"] - before)
+                return out
+
+            return call
+
+        monkeypatch.setattr(presentation, "anchor_of", counted_anchor_of)
+        for name in per_call:
+            monkeypatch.setattr(presentation, name, counted(name))
+        path = SCENARIOS / "crystalline_2d.json"
+        report, code = run_scenario(str(path), "validate")
         assert code == EXIT_OK
-        assert len(per_call) > 800
-        assert set(per_call) == {2}
+        assert set(per_call["lambda1_bracket"]) == {1}
+        assert len(per_call["h_bracket"]) > 250
+        assert set(per_call["h_bracket"]) == {2}
+        p = json.loads(path.read_text(encoding="utf-8"))["p"]
+        assert per_call["lie_polynomials"] and set(per_call["lie_polynomials"]) == {p}
+
+
+class TestPresentationLifetime:
+    """Every presentation a ``validate`` run builds is freed by reference
+    counting: the caches it keeps (the tau extension, the PBW product table)
+    hold nothing that refers back to it, so the run leaves no cycle for the
+    cyclic collector."""
+
+    @pytest.mark.parametrize(
+        "path",
+        [SCENARIOS / "crystalline_2d.json", GOLDEN / "sl2_action_p3.json"],
+        ids=["crystalline_2d", "sl2_action_p3"],
+    )
+    def test_validate_leaves_no_cycles(self, monkeypatch, path):
+        built = []
+        post_init = algebroid.AlgebroidPresentation.__post_init__
+
+        def tracked_post_init(self):
+            post_init(self)
+            built.append(weakref.ref(self))
+
+        monkeypatch.setattr(algebroid.AlgebroidPresentation, "__post_init__", tracked_post_init)
+        gc.collect()
+        gc.disable()
+        try:
+            report, code = run_scenario(str(path), "validate")
+            assert code == EXIT_OK and report.passed
+            del report
+            assert built and [ref() for ref in built] == [None] * len(built)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -14,15 +14,26 @@ run of it:
   e_k(M + N) = sum_i e_i(M) e_(k-i)(N).
 
 Both run on line modules of rank 1-3 (the packed route) and on a rank-2
-module on the plane (the ``Poly`` route).
+module on the plane (the ``Poly`` route).  Two more relations carry the
+function part phi_a of a shifted p-structure (0 when it is not shifted),
+since psi_a subtracts the action phi_a * I of e_a^[p]'s function part:
+
+- Dual: A_a^v = -A_a^T gives psi_a^v = -psi_a^T - 2 phi_a I.
+- Rank-1 twist: adding c_a I to A_a, the matrix of a rank-1 module L,
+  gives psi(M (x) L)_a = psi(M)_a + (psi(L)_a + phi_a) I.
+
+They run on line modules and on modules over ``shifted_p_structure``'s
+algebroid, where phi = x^3.
 """
 
+import pathlib
 from operator import add
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcurv.algebroid import tangent_algebroid
+from pcurv.cli import load_scenario
 from pcurv.connection import (
     ConnectionModule,
     identity_matrix,
@@ -30,6 +41,7 @@ from pcurv.connection import (
     mat_map,
     mat_mul,
     mat_scale,
+    mat_sub,
     p_curvature,
 )
 from pcurv.hitchin import descend_invariants, hitchin_invariants
@@ -182,3 +194,60 @@ class TestDirectSumRelation:
                 for key, c in product_table(e_m[i], e_n[k - i]).items():
                     expected[key] = expected.get(key, c.ring.zero()) + c
             assert table == {key: c for key, c in expected.items() if c}
+
+
+SHIFTED = load_scenario(
+    str(pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "shifted_p_structure.json")
+).algebroid
+
+
+@st.composite
+def line_or_shifted_modules(draw):
+    """A module of ``line_modules``, or one of rank 1-3 with entries of
+    degree at most 2 over the shifted algebroid of ``shifted_p_structure``."""
+    if draw(st.booleans()):
+        return draw(line_modules())
+    r = draw(st.integers(1, 3))
+    matrix = tuple(tuple(draw(polys(SHIFTED.ring, 2)) for _ in range(r)) for _ in range(r))
+    return ConnectionModule(SHIFTED, r, (matrix,))
+
+
+def shift_functions(A):
+    """phi_a, the function part of the shift of e_a^[p], or 0."""
+    return [f for f, _ in A.shift] or [A.ring.zero()] * A.rank
+
+
+def transpose(a):
+    return tuple(zip(*a))
+
+
+class TestDualRelation:
+    @settings(max_examples=30, deadline=None)
+    @given(line_or_shifted_modules())
+    def test_psi_of_the_dual_is_minus_the_transpose(self, M):
+        A, R = M.algebroid, M.ring
+        minus_one = R.constant(-1)
+        dual = ConnectionModule(
+            A, M.rank, tuple(mat_scale(minus_one, transpose(a)) for a in M.matrices)
+        )
+        C, C_dual = p_curvature(M), p_curvature(dual)
+        identity = identity_matrix(R, M.rank)
+        for psi, psi_dual, phi in zip(C.psi, C_dual.psi, shift_functions(A)):
+            expected = mat_sub(mat_scale(minus_one, transpose(psi)), mat_scale(phi + phi, identity))
+            assert psi_dual == expected
+
+
+class TestRankOneTwistRelation:
+    @settings(max_examples=30, deadline=None)
+    @given(line_or_shifted_modules(), st.data())
+    def test_psi_of_a_twist_adds_the_line_psi(self, M, data):
+        A, R = M.algebroid, M.ring
+        line = data.draw(polys(R, 2))
+        L = ConnectionModule(A, 1, (((line,),),))
+        identity = identity_matrix(R, M.rank)
+        twisted = ConnectionModule(
+            A, M.rank, tuple(mat_add(a, mat_scale(line, identity)) for a in M.matrices)
+        )
+        C, C_line, C_twisted = p_curvature(M), p_curvature(L), p_curvature(twisted)
+        for psi, psi_line, psi_twisted, phi in zip(C.psi, C_line.psi, C_twisted.psi, shift_functions(A)):
+            assert psi_twisted == mat_add(psi, mat_scale(psi_line[0][0] + phi, identity))

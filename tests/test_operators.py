@@ -408,10 +408,11 @@ PBW_PRESENTATIONS = {
 
 
 @st.composite
-def pbw_cases(draw):
-    """A presentation, two elements of filtration degree <= 2 and a function,
-    with coefficients of degree <= 2 in each ring variable."""
-    A = PBW_PRESENTATIONS[draw(st.sampled_from(sorted(PBW_PRESENTATIONS)))]
+def pbw_cases(draw, presentations=PBW_PRESENTATIONS):
+    """A presentation of ``presentations``, two elements of filtration
+    degree <= 2 and a function, with coefficients of degree <= 2 in each
+    ring variable."""
+    A = presentations[draw(st.sampled_from(sorted(presentations)))]
     coeff = st.dictionaries(
         st.tuples(*[st.integers(0, 2)] * A.ring.nvars), st.integers(1, A.p - 1), min_size=1, max_size=3
     )
